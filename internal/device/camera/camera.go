@@ -13,7 +13,6 @@ package camera
 
 import (
 	"context"
-	"encoding/base64"
 	"fmt"
 	"time"
 
@@ -112,27 +111,24 @@ func (m *Module) takePicture(ctx context.Context, args wei.Args) (wei.Result, er
 		return nil, fmt.Errorf("camera: encode frame: %w", err)
 	}
 	return wei.Result{
-		"image_png":  base64.StdEncoding.EncodeToString(data),
+		"image_png":  data,
 		"plate_id":   plate.ID,
 		"wells_used": float64(plate.Used()),
 		"frame":      float64(m.frames),
 	}, nil
 }
 
-// DecodeFrame extracts the PNG bytes from a take_picture result, accepting
-// both the in-process and HTTP-JSON encodings.
+// DecodeFrame extracts the PNG bytes from a take_picture result. The frame
+// is a []byte both in process and over HTTP, where it travels out of band
+// of the JSON; it is shared, not copied, so callers must not modify it.
 func DecodeFrame(res wei.Result) ([]byte, error) {
 	v, ok := res["image_png"]
 	if !ok {
 		return nil, fmt.Errorf("camera: result has no image_png")
 	}
-	s, ok := v.(string)
+	data, ok := v.([]byte)
 	if !ok {
-		return nil, fmt.Errorf("camera: image_png is %T, want base64 string", v)
-	}
-	data, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("camera: decode frame: %w", err)
+		return nil, fmt.Errorf("camera: image_png is %T, want []byte", v)
 	}
 	return data, nil
 }

@@ -39,6 +39,9 @@ func TestTakePictureReturnsDecodablePNG(t *testing.T) {
 	if clock.Now().Sub(start) <= 0 {
 		t.Fatal("exposure took no time")
 	}
+	if _, ok := res["image_png"].([]byte); !ok {
+		t.Fatalf("image_png is %T, want []byte", res["image_png"])
+	}
 	frame, err := DecodeFrame(res)
 	if err != nil {
 		t.Fatal(err)
@@ -62,26 +65,47 @@ func TestFramesDifferUnderNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f1, err := DecodeFrame(r1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := string(f1)
 	r2, err := m.Act(context.Background(), "take_picture", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, _ := DecodeFrame(r1)
-	f2, _ := DecodeFrame(r2)
+	f2, err := DecodeFrame(r2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if string(f1) == string(f2) {
 		t.Fatal("two exposures produced identical frames (no noise?)")
 	}
+	// Results hand their frame over by reference, so each exposure must
+	// own its buffer: a later frame never overwrites an earlier one.
+	if string(f1) != first {
+		t.Fatal("second exposure overwrote the first frame")
+	}
 }
 
+// TestDecodeFrameErrors: the frame is a []byte on every transport (the wei
+// HTTP client restores it from the framed body), so anything else — the
+// base64 string older servers sent included — is an error.
 func TestDecodeFrameErrors(t *testing.T) {
-	if _, err := DecodeFrame(wei.Result{}); err == nil {
-		t.Fatal("missing image accepted")
+	for name, res := range map[string]wei.Result{
+		"missing":       {},
+		"number":        {"image_png": 42},
+		"base64 string": {"image_png": "iVBORw0KGgo="},
+		"nil":           {"image_png": nil},
+	} {
+		if _, err := DecodeFrame(res); err == nil {
+			t.Errorf("%s image accepted", name)
+		}
 	}
-	if _, err := DecodeFrame(wei.Result{"image_png": 42}); err == nil {
-		t.Fatal("non-string image accepted")
-	}
-	if _, err := DecodeFrame(wei.Result{"image_png": "!!!not base64!!!"}); err == nil {
-		t.Fatal("bad base64 accepted")
+	png := []byte{0x89, 'P', 'N', 'G'}
+	got, err := DecodeFrame(wei.Result{"image_png": png})
+	if err != nil || &got[0] != &png[0] {
+		t.Fatalf("DecodeFrame = %v, %v; want the same slice back", got, err)
 	}
 }
 
@@ -101,7 +125,10 @@ func TestCameraDriftIsBoundedAndAnalyzable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame, _ := DecodeFrame(res)
+		frame, err := DecodeFrame(res)
+		if err != nil {
+			t.Fatal(err)
+		}
 		img, err := vision.DecodePNG(frame)
 		if err != nil {
 			t.Fatal(err)

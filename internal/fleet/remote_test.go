@@ -2,14 +2,18 @@ package fleet
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"colormatch/internal/core"
+	"colormatch/internal/portal"
 	"colormatch/internal/wei"
 )
 
@@ -204,5 +208,66 @@ func TestRemoteFleetAllCellsDead(t *testing.T) {
 		if cr.Status != StatusFailed || cr.Workcell != -1 {
 			t.Errorf("campaign %d = %+v", i, cr)
 		}
+	}
+}
+
+// TestRemoteFleetPublishesBitIdenticalFrames: frames cross two network
+// hops in the distributed deployment — camera to campaign over wei HTTP,
+// campaign to portal over /ingest/batch, and back out over /records/<id>.
+// Every plate.png the portal serves must hash equal to the frame the same
+// seed produces on a local cell publishing to an in-process store.
+func TestRemoteFleetPublishesBitIdenticalFrames(t *testing.T) {
+	const seed = 11
+	ctx := context.Background()
+
+	localStore := portal.NewStore()
+	local, err := Run(ctx, quickCampaigns(1, 8), Options{Workcells: 1, Seed: seed, Portal: localStore})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The local provider seeds cell w with Seed + 1000*(w+1).
+	cell := newWorkcellHTTPServer(t, seed+1000, 0)
+	remoteStore := portal.NewStore()
+	portalSrv := httptest.NewServer(portal.Serve(remoteStore))
+	defer portalSrv.Close()
+	client := portal.NewClient(portalSrv.URL)
+	remote, err := Run(ctx, quickCampaigns(1, 8), Options{
+		Provider: NewRemoteProvider([]string{cell.srv.URL}, remoteOpts),
+		Seed:     seed,
+		Portal:   client,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local.Completed != 1 || remote.Completed != 1 {
+		t.Fatalf("completed: local %d, remote %d", local.Completed, remote.Completed)
+	}
+
+	hashes := func(name string, get func(id string) (portal.Record, error), recs []portal.Record) []string {
+		t.Helper()
+		var out []string
+		for _, r := range recs {
+			full, err := get(r.ID)
+			if err != nil {
+				t.Fatalf("%s: get %s: %v", name, r.ID, err)
+			}
+			png, ok := full.Files["plate.png"]
+			if !ok {
+				continue
+			}
+			sum := sha256.Sum256(png)
+			out = append(out, hex.EncodeToString(sum[:]))
+		}
+		return out
+	}
+	exp := portal.Query{Experiment: "fleet_" + local.Campaigns[0].Campaign.Name}
+	want := hashes("local", localStore.Get, localStore.Search(exp))
+	got := hashes("remote", client.Get, remoteStore.Search(exp))
+	if len(want) == 0 {
+		t.Fatal("local campaign published no plate images")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("remote plate.png hashes differ from the local cell's:\n remote %v\n local  %v", got, want)
 	}
 }

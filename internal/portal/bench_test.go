@@ -3,6 +3,7 @@ package portal
 import (
 	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"testing"
@@ -167,5 +168,38 @@ func TestPortalBenchArtifact(t *testing.T) {
 	}
 	if out.SummarySpeedup < 5 {
 		t.Errorf("cached summary speedup %.1fx < 5x acceptance bar", out.SummarySpeedup)
+	}
+}
+
+// BenchmarkIngestBatchHTTP measures one campaign flush over loopback HTTP:
+// eight records, each with a ~920 KB plate image, into a durable store.
+// The images travel raw after the batch's JSON header line.
+func BenchmarkIngestBatchHTTP(b *testing.B) {
+	store, err := OpenStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	srv := httptest.NewServer(Serve(store))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
+	recs := make([]Record, 8)
+	for i := range recs {
+		img := make([]byte, 920_000)
+		for j := range img {
+			img[j] = byte(i + j*7)
+		}
+		recs[i] = Record{Experiment: "bench", Run: i, Time: t0.Add(time.Duration(i) * time.Second),
+			Fields: map[string]any{"samples": 4, "best_score": 12.5},
+			Files:  map[string][]byte{"plate.png": img}}
+	}
+	b.SetBytes(int64(len(recs) * 920_000))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.IngestBatch(recs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,58 +1,61 @@
 package portal
 
 import (
-	"bytes"
-	"encoding/base64"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"colormatch/internal/framing"
 )
 
 // The HTTP wire protocol:
-//   POST /ingest                      wireRecord -> {"id": ...}
-//   POST /ingest/batch                [wireRecord] -> {"ids": [...]}
-//                                     (optional X-Idempotency-Key header:
-//                                     a retried key returns the original
-//                                     commit's ids without re-ingesting)
-//   GET  /records/<id>                wireRecord
+//   POST /ingest                      framed wireRecord -> {"id": ...}
+//   POST /ingest/batch                framed [wireRecord] -> {"ids": [...]}
+//                                     (both take an optional
+//                                     X-Idempotency-Key header: a retried
+//                                     key returns the original commit's
+//                                     ids without re-ingesting)
+//   GET  /records/<id>                framed wireRecord
 //   GET  /search?experiment=&run=&after=&before=&limit=&cursor=
 //                                     {"records": [wireRecord], "next_cursor": ...}
 //                                     (files as sizes; timestamps RFC 3339)
 //   GET  /experiments                 [names]
 //   GET  /experiments/<name>/summary  Summary
 //   GET  /healthz                     {"ok": true}
+//
+// A framed body (internal/framing) is the JSON header line followed by the
+// attachment bytes raw: record by record, each record's files in name
+// order, each as long as its file_sizes entry. A record without files is
+// plain JSON, so curl can ingest one with -d '{...}'.
 
-// wireRecord is the JSON form of a Record; attachments travel base64-encoded.
+// wireRecord is the JSON form of a Record. FileSizes names its attachments
+// and their lengths; on framed bodies their bytes follow the header.
 type wireRecord struct {
-	ID         string            `json:"id,omitempty"`
-	Experiment string            `json:"experiment"`
-	Run        int               `json:"run"`
-	Time       time.Time         `json:"time"`
-	Fields     map[string]any    `json:"fields,omitempty"`
-	Files      map[string]string `json:"files,omitempty"`      // name -> base64
-	FileSizes  map[string]int    `json:"file_sizes,omitempty"` // search results only
+	ID         string         `json:"id,omitempty"`
+	Experiment string         `json:"experiment"`
+	Run        int            `json:"run"`
+	Time       time.Time      `json:"time"`
+	Fields     map[string]any `json:"fields,omitempty"`
+	FileSizes  map[string]int `json:"file_sizes,omitempty"`
 }
 
-func toWire(r Record, withFiles bool) wireRecord {
-	w := wireRecord{ID: r.ID, Experiment: r.Experiment, Run: r.Run, Time: r.Time, Fields: r.Fields}
-	if withFiles {
-		if len(r.Files) > 0 {
-			w.Files = make(map[string]string, len(r.Files))
-			for name, data := range r.Files {
-				w.Files[name] = base64.StdEncoding.EncodeToString(data)
-			}
-		}
-	} else if sizes := r.FileSizes(); len(sizes) > 0 {
-		w.FileSizes = sizes
-	}
-	return w
+func toWire(r Record, sizes map[string]int) wireRecord {
+	return wireRecord{ID: r.ID, Experiment: r.Experiment, Run: r.Run, Time: r.Time,
+		Fields: r.Fields, FileSizes: sizes}
+}
+
+func (w wireRecord) record() Record {
+	return Record{ID: w.ID, Experiment: w.Experiment, Run: w.Run, Time: w.Time, Fields: w.Fields}
 }
 
 // wirePage is the JSON form of one search result page.
@@ -61,22 +64,63 @@ type wirePage struct {
 	NextCursor string       `json:"next_cursor,omitempty"`
 }
 
-func fromWire(w wireRecord) (Record, error) {
-	r := Record{ID: w.ID, Experiment: w.Experiment, Run: w.Run, Time: w.Time, Fields: w.Fields}
-	if len(w.Files) > 0 {
-		r.Files = make(map[string][]byte, len(w.Files))
-		for name, b64 := range w.Files {
-			data, err := base64.StdEncoding.DecodeString(b64)
-			if err != nil {
-				return Record{}, fmt.Errorf("portal: file %q: %w", name, err)
-			}
-			r.Files[name] = data
+// frameRecords encodes recs and their attachments as one framed body whose
+// header is the lone record (single) or the array of records.
+func frameRecords(recs []Record, single bool) (*framing.Body, error) {
+	wires := make([]wireRecord, len(recs))
+	var blobs [][]byte
+	for i, r := range recs {
+		sizes := make(map[string]int, len(r.Files))
+		for _, name := range slices.Sorted(maps.Keys(r.Files)) {
+			sizes[name] = len(r.Files[name])
+			blobs = append(blobs, r.Files[name])
+		}
+		wires[i] = toWire(r, sizes)
+	}
+	if single {
+		return framing.NewBody(wires[0], blobs)
+	}
+	return framing.NewBody(wires, blobs)
+}
+
+// readRecords decodes a framed body of size bytes (-1 if unknown) holding
+// one record (single) or an array of them, attaching the bytes that follow
+// the header as each record's Files. Sizes are never taken from the header
+// alone: each attachment is exactly the bytes read for it.
+func readRecords(body io.Reader, size int64, single bool) ([]Record, error) {
+	fr := framing.NewReader(body, size)
+	var wires []wireRecord
+	header := any(&wires)
+	if single {
+		wires = make([]wireRecord, 1)
+		header = &wires[0]
+	}
+	if err := fr.Header(header); err != nil {
+		return nil, err
+	}
+	names := make([][]string, len(wires))
+	var sizes []int
+	for i, w := range wires {
+		names[i] = slices.Sorted(maps.Keys(w.FileSizes))
+		for _, name := range names[i] {
+			sizes = append(sizes, w.FileSizes[name])
 		}
 	}
-	if len(w.FileSizes) > 0 {
-		r.sizes = w.FileSizes
+	blobs, err := fr.Blobs(sizes)
+	if err != nil {
+		return nil, err
 	}
-	return r, nil
+	recs := make([]Record, len(wires))
+	for i, w := range wires {
+		recs[i] = w.record()
+		if len(names[i]) > 0 {
+			recs[i].Files = make(map[string][]byte, len(names[i]))
+			for _, name := range names[i] {
+				recs[i].Files[name], blobs = blobs[0], blobs[1:]
+			}
+		}
+	}
+	return recs, nil
 }
 
 // ServeOption configures optional portal endpoints.
@@ -99,62 +143,34 @@ func Serve(store *Store, opts ...ServeOption) http.Handler {
 		o(&cfg)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/ingest", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		var wr wireRecord
-		if err := json.NewDecoder(req.Body).Decode(&wr); err != nil {
-			http.Error(w, "bad record: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		rec, err := fromWire(wr)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		// Attachment sizes are derived, never client-supplied: honoring
-		// file_sizes on ingest would create phantom attachment metadata
-		// (counted in summaries, reported by search, gone after a restart).
-		rec.sizes = nil
-		id, err := store.Ingest(rec)
-		if err != nil {
-			http.Error(w, err.Error(), ingestStatus(err))
-			return
-		}
-		writeJSON(w, map[string]any{"id": id})
-	})
-	mux.HandleFunc("/ingest/batch", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		var wrs []wireRecord
-		if err := json.NewDecoder(req.Body).Decode(&wrs); err != nil {
-			http.Error(w, "bad batch: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		recs := make([]Record, len(wrs))
-		for i, wr := range wrs {
-			rec, err := fromWire(wr)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("record %d: %v", i, err), http.StatusBadRequest)
+	ingest := func(single bool) http.HandlerFunc {
+		return func(w http.ResponseWriter, req *http.Request) {
+			if req.Method != http.MethodPost {
+				http.Error(w, "POST required", http.StatusMethodNotAllowed)
 				return
 			}
-			rec.sizes = nil // sizes are derived, never client-supplied
-			recs[i] = rec
+			recs, err := readRecords(req.Body, req.ContentLength, single)
+			if err != nil {
+				http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
+				return
+			}
+			ids, err := store.IngestBatchKeyed(req.Header.Get(idempotencyHeader), recs)
+			if err != nil {
+				http.Error(w, err.Error(), ingestStatus(err))
+				return
+			}
+			if single {
+				writeJSON(w, map[string]any{"id": ids[0]})
+				return
+			}
+			if ids == nil {
+				ids = []string{}
+			}
+			writeJSON(w, map[string]any{"ids": ids})
 		}
-		ids, err := store.IngestBatchKeyed(req.Header.Get(idempotencyHeader), recs)
-		if err != nil {
-			http.Error(w, err.Error(), ingestStatus(err))
-			return
-		}
-		if ids == nil {
-			ids = []string{}
-		}
-		writeJSON(w, map[string]any{"ids": ids})
-	})
+	}
+	mux.HandleFunc("/ingest", ingest(true))
+	mux.HandleFunc("/ingest/batch", ingest(false))
 	mux.HandleFunc("/records/", func(w http.ResponseWriter, req *http.Request) {
 		id := strings.TrimPrefix(req.URL.Path, "/records/")
 		rec, err := store.Get(id)
@@ -168,7 +184,12 @@ func Serve(store *Store, opts ...ServeOption) http.Handler {
 			http.Error(w, err.Error(), status)
 			return
 		}
-		writeJSON(w, toWire(rec, true))
+		body, err := frameRecords([]Record{rec}, true)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		body.Respond(w)
 	})
 	mux.HandleFunc("/search", func(w http.ResponseWriter, req *http.Request) {
 		params := req.URL.Query()
@@ -206,7 +227,7 @@ func Serve(store *Store, opts ...ServeOption) http.Handler {
 		}
 		out := wirePage{Records: make([]wireRecord, len(page.Records)), NextCursor: page.Next}
 		for i, r := range page.Records {
-			out.Records[i] = toWire(r, false)
+			out.Records[i] = toWire(r, r.FileSizes())
 		}
 		writeJSON(w, out)
 	})
@@ -269,28 +290,16 @@ func NewClient(baseURL string) *Client {
 
 // Ingest implements Ingestor over HTTP.
 func (c *Client) Ingest(rec Record) (string, error) {
-	body, err := json.Marshal(toWire(rec, true))
-	if err != nil {
-		return "", fmt.Errorf("portal: encode record: %w", err)
-	}
-	resp, err := c.HTTP.Post(c.BaseURL+"/ingest", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", fmt.Errorf("portal: ingest: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", ingestError("ingest", resp)
-	}
 	var out struct {
 		ID string `json:"id"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return "", fmt.Errorf("portal: decode ingest response: %w", err)
+	if err := c.post("ingest", "/ingest", "", []Record{rec}, true, &out); err != nil {
+		return "", err
 	}
 	return out.ID, nil
 }
 
-// idempotencyHeader carries a batch's dedupe key on POST /ingest/batch.
+// idempotencyHeader carries a batch's dedupe key on the ingest routes.
 const idempotencyHeader = "X-Idempotency-Key"
 
 // IngestBatch implements BatchIngestor over HTTP: the whole batch travels
@@ -308,35 +317,11 @@ func (c *Client) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 	if len(recs) == 0 {
 		return nil, nil
 	}
-	wires := make([]wireRecord, len(recs))
-	for i, rec := range recs {
-		wires[i] = toWire(rec, true)
-	}
-	body, err := json.Marshal(wires)
-	if err != nil {
-		return nil, fmt.Errorf("portal: encode batch: %w", err)
-	}
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/ingest/batch", bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("portal: ingest batch: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if key != "" {
-		req.Header.Set(idempotencyHeader, key)
-	}
-	resp, err := c.batchClient(len(body)).Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("portal: ingest batch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, ingestError("ingest batch", resp)
-	}
 	var out struct {
 		IDs []string `json:"ids"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("portal: decode batch response: %w", err)
+	if err := c.post("ingest batch", "/ingest/batch", key, recs, false, &out); err != nil {
+		return nil, err
 	}
 	if len(out.IDs) != len(recs) {
 		return nil, fmt.Errorf("portal: batch response has %d ids for %d records", len(out.IDs), len(recs))
@@ -344,7 +329,34 @@ func (c *Client) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 	return out.IDs, nil
 }
 
-// batchClient returns the HTTP client to use for an n-byte batch upload.
+// post sends recs as a framed body and decodes the JSON reply into out.
+func (c *Client) post(op, path, key string, recs []Record, single bool, out any) error {
+	body, err := frameRecords(recs, single)
+	if err != nil {
+		return fmt.Errorf("portal: %s: %w", op, err)
+	}
+	req, err := body.NewRequest(context.Background(), http.MethodPost, c.BaseURL+path)
+	if err != nil {
+		return fmt.Errorf("portal: %s: %w", op, err)
+	}
+	if key != "" {
+		req.Header.Set(idempotencyHeader, key)
+	}
+	resp, err := c.batchClient(int(body.Len())).Do(req)
+	if err != nil {
+		return fmt.Errorf("portal: %s: %w", op, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return ingestError(op, resp)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("portal: decode %s response: %w", op, err)
+	}
+	return nil
+}
+
+// batchClient returns the HTTP client to use for an n-byte upload.
 // The default 30s total timeout is sized for single records and queries; a
 // whole campaign's attachments travel in one batch POST, so the deadline
 // grows with the payload (one extra second per 256KiB) — otherwise a large
@@ -421,10 +433,8 @@ func (c *Client) SearchPage(q Query) (Page, error) {
 	}
 	page := Page{Next: wp.NextCursor}
 	for _, w := range wp.Records {
-		rec, err := fromWire(w)
-		if err != nil {
-			return Page{}, err
-		}
+		rec := w.record()
+		rec.sizes = w.FileSizes
 		page.Records = append(page.Records, rec)
 	}
 	return page, nil
@@ -432,24 +442,39 @@ func (c *Client) SearchPage(q Query) (Page, error) {
 
 // Get fetches one full record including attachments.
 func (c *Client) Get(id string) (Record, error) {
-	var w wireRecord
-	if err := c.getJSON("/records/"+id, &w); err != nil {
+	resp, err := c.get("/records/" + id)
+	if err != nil {
 		return Record{}, err
 	}
-	return fromWire(w)
+	defer resp.Body.Close()
+	recs, err := readRecords(resp.Body, resp.ContentLength, true)
+	if err != nil {
+		return Record{}, fmt.Errorf("portal: record %s: %w", id, err)
+	}
+	return recs[0], nil
 }
 
 func (c *Client) getJSON(path string, v any) error {
-	resp, err := c.HTTP.Get(c.BaseURL + path)
+	resp, err := c.get(path)
 	if err != nil {
-		return fmt.Errorf("portal: %w", err)
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return fmt.Errorf("portal: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
 	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// get issues a GET, turning a non-200 status into an error.
+func (c *Client) get(path string) (*http.Response, error) {
+	resp, err := c.HTTP.Get(c.BaseURL + path)
+	if err != nil {
+		return nil, fmt.Errorf("portal: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+		return nil, fmt.Errorf("portal: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
+	}
+	return resp, nil
 }
 
 // RenderSummary writes the Figure 3 "summary view" as text.

@@ -243,6 +243,38 @@ func TestHTTPIngestStatusCodes(t *testing.T) {
 	}
 }
 
+// TestHTTPMalformedIngest: a framed ingest body that is truncated, garbled
+// or inconsistent with its header is the client's 400, which publishers see
+// as ErrInvalid and do not retry; the store is left untouched.
+func TestHTTPMalformedIngest(t *testing.T) {
+	c, store := newPortalFixture(t)
+	rec := `{"experiment":"x","file_sizes":{"plate.png":4}}`
+	for name, tc := range map[string]struct{ path, body string }{
+		"declared past end":   {"/ingest", rec + "\nab"},
+		"trailing bytes":      {"/ingest", rec + "\nabcdef"},
+		"missing newline":     {"/ingest", rec + "abcd"},
+		"negative size":       {"/ingest", `{"experiment":"x","file_sizes":{"plate.png":-4}}` + "\n"},
+		"garbled header":      {"/ingest", `{"experiment":"x","file_sizes":{"plate.png":4}` + "\nabcd"},
+		"batch declared past": {"/ingest/batch", "[" + rec + "," + rec + "]\nabcdabc"},
+		"batch trailing":      {"/ingest/batch", "[" + rec + "]\nabcdabcd"},
+		"batch overflow": {"/ingest/batch", `[{"experiment":"x","file_sizes":{"a":9223372036854775807,"b":9223372036854775807}}]` +
+			"\nab"},
+	} {
+		resp, err := http.Post(c.BaseURL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = ingestError(name, resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: HTTP %d (%v), want 400 / ErrInvalid", name, resp.StatusCode, err)
+		}
+	}
+	if store.Len() != 0 {
+		t.Fatalf("malformed ingests stored %d records", store.Len())
+	}
+}
+
 // TestIngestErrorClassification: only the portal's own 400 marks a
 // submission invalid (no retry can help); a proxy's 429 or 408 must stay
 // retryable.
@@ -306,28 +338,43 @@ func TestHTTPRecordGetStatusCodes(t *testing.T) {
 	}
 }
 
-// TestHTTPIngestIgnoresClientFileSizes: file_sizes is server-derived
-// search metadata; honoring it on ingest would create phantom attachments
-// (counted by summaries, gone after a restart).
+// TestHTTPIngestIgnoresClientFileSizes: file_sizes declares the attachment
+// bytes that follow the header, and sizes are never taken from it alone. A
+// declaration with no bytes behind it is a 400 that creates nothing — no
+// phantom attachment counted by summaries and gone after a restart — and
+// stored sizes are the lengths of the bytes actually read.
 func TestHTTPIngestIgnoresClientFileSizes(t *testing.T) {
 	c, store := newPortalFixture(t)
-	srv := c.BaseURL
-	body := `{"experiment":"phantom","run":1,"time":"2023-08-16T09:00:00Z","file_sizes":{"plate.png":12345}}`
-	resp, err := http.Post(srv+"/ingest", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(c.BaseURL+"/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest = HTTP %d", resp.StatusCode)
+	header := `{"experiment":"phantom","run":1,"time":"2023-08-16T09:00:00Z","file_sizes":{"plate.png":12345}}`
+	if code := post(header); code != http.StatusBadRequest {
+		t.Fatalf("declared-but-missing attachment = HTTP %d, want 400", code)
+	}
+	if code := post(header + "\n" + "short"); code != http.StatusBadRequest {
+		t.Fatalf("short attachment = HTTP %d, want 400", code)
+	}
+	if store.Len() != 0 {
+		t.Fatalf("rejected ingests stored %d records", store.Len())
+	}
+	sized := `{"experiment":"phantom","run":1,"time":"2023-08-16T09:00:00Z","file_sizes":{"plate.png":5}}`
+	if code := post(sized + "\n" + "12345"); code != http.StatusOK {
+		t.Fatalf("framed ingest = HTTP %d", code)
 	}
 	recs := store.Search(Query{Experiment: "phantom"})
-	if len(recs) != 1 || len(recs[0].FileSizes()) != 0 {
-		t.Fatalf("client-supplied file_sizes honored: %+v", recs[0].FileSizes())
+	if len(recs) != 1 || recs[0].FileSizes()["plate.png"] != 5 {
+		t.Fatalf("stored sizes = %+v, want the 5 bytes sent", recs)
 	}
 	sum, err := store.Summarize("phantom")
-	if err != nil || sum.Images != 0 {
-		t.Fatalf("phantom attachment counted: %+v, %v", sum, err)
+	if err != nil || sum.Images != 1 {
+		t.Fatalf("summary = %+v, %v", sum, err)
 	}
 }
 

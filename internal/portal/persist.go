@@ -573,10 +573,10 @@ func replayArchive(dir string, snapN int, segs []int, workers int) (*Store, repl
 		exp := entries[slot].rec.Experiment
 		sn.byExp[exp] = append(sn.byExp[exp], slot)
 	}
-	s.snap.Store(sn)
 	for id, slot := range ids {
 		s.byID.Store(id, slot)
 	}
+	s.snap.Store(sn)
 	return s, marks, nil
 }
 

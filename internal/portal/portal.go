@@ -176,6 +176,11 @@ func mergeSlots(sn *snapshot, idx, add []int) []int {
 	return append(out, add[j:]...)
 }
 
+// publishHook, when set by tests, runs between a batch's two publication
+// steps: after its byID entries are stored, before its snapshot is swapped
+// in. TestVisibleImpliesGettable reads the store from there.
+var publishHook func()
+
 // maxBatchKeys bounds the idempotency-key memory: older keys are evicted
 // FIFO, after which a very stale retry would re-ingest. The cap is far
 // beyond any plausible in-flight retry window.
@@ -356,15 +361,20 @@ func (s *Store) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 		}
 		added[i] = entry{rec: rec, blobs: blobs[i]}
 	}
-	// Publish the batch: one atomic snapshot swap, then the ID index. A
-	// reader that finds an ID in byID is guaranteed (release/acquire through
-	// the sync.Map) to observe a snapshot containing its slot.
+	// Publish the batch: the ID index first, then one atomic snapshot swap.
+	// Visible implies gettable: a reader that sees a record in a snapshot
+	// (release/acquire through the pointer) also sees its byID entry. An ID
+	// found in byID before the swap resolves to a slot past the reader's
+	// snapshot, which Get reports as not found.
 	old := s.snap.Load()
-	s.snap.Store(old.with(added))
 	base := len(old.entries)
 	for i := range recs {
 		s.byID.Store(recs[i].ID, base+i)
 	}
+	if publishHook != nil {
+		publishHook()
+	}
+	s.snap.Store(old.with(added))
 	if key != "" {
 		s.rememberBatch(key, ids)
 	}
@@ -387,8 +397,9 @@ func (s *Store) rememberBatch(key string, ids []string) {
 // Get returns the record with the given ID, loading its attachments from
 // blob storage for disk-backed stores.
 func (s *Store) Get(id string) (Record, error) {
-	// byID first, snapshot second: the writer publishes in the opposite
-	// order, so a hit here always resolves inside the loaded snapshot.
+	// A record is gettable once it is visible: the writer stores its byID
+	// entry before publishing the snapshot that holds it. An entry for a
+	// batch not yet published points past the snapshot and is not found.
 	v, ok := s.byID.Load(id)
 	if !ok {
 		return Record{}, fmt.Errorf("%w: %s", ErrNotFound, id)

@@ -204,3 +204,62 @@ func TestCloseRejectsIngestInMemory(t *testing.T) {
 		t.Fatal("reads broken after Close")
 	}
 }
+
+// TestVisibleImpliesGettable pins the publication order deterministically:
+// from the point between a batch's two publication steps, every record a
+// reader can see is gettable, and the batch being published is neither
+// visible nor gettable yet. Publishing the snapshot before the ID index
+// (the old order) fails the first half; the racy probe in race_test.go
+// only caught that some of the time.
+func TestVisibleImpliesGettable(t *testing.T) {
+	for _, disk := range []bool{false, true} {
+		s := NewStore()
+		if disk {
+			var err error
+			if s, err = OpenStore(t.TempDir()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t0 := time.Date(2023, 8, 16, 9, 0, 0, 0, time.UTC)
+		if _, err := s.IngestBatch([]Record{rec("e", 1, t0, nil), rec("e", 1, t0, nil)}); err != nil {
+			t.Fatal(err)
+		}
+		pending := []string{"new-1", "new-2"}
+		checks := 0
+		publishHook = func() {
+			checks++
+			visible := s.Search(Query{})
+			if len(visible) != 2 {
+				t.Errorf("disk=%v: %d records visible mid-publication, want the 2 already published", disk, len(visible))
+			}
+			for _, r := range visible {
+				if _, err := s.Get(r.ID); err != nil {
+					t.Errorf("disk=%v: visible record %s not gettable: %v", disk, r.ID, err)
+				}
+			}
+			for _, id := range pending {
+				if _, err := s.Get(id); !errors.Is(err, ErrNotFound) {
+					t.Errorf("disk=%v: unpublished record %s: Get err = %v, want ErrNotFound", disk, id, err)
+				}
+			}
+		}
+		batch := []Record{rec("e", 2, t0, nil), rec("e", 2, t0, nil)}
+		batch[0].ID, batch[1].ID = pending[0], pending[1]
+		_, err := s.IngestBatch(batch)
+		publishHook = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checks != 1 {
+			t.Fatalf("disk=%v: publish hook ran %d times, want 1", disk, checks)
+		}
+		for _, id := range pending {
+			if _, err := s.Get(id); err != nil {
+				t.Fatalf("disk=%v: published record %s not gettable: %v", disk, id, err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package wei
 
 import (
 	"context"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -40,6 +41,34 @@ func BenchmarkParseWorkflow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := ParseWorkflow(src); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHTTPActFrame measures one camera-sized action over loopback
+// HTTP: a ~920 KB []byte frame in the Result, carried raw after the JSON
+// header and restored as []byte by the client.
+func BenchmarkHTTPActFrame(b *testing.B) {
+	frame := make([]byte, 920_000)
+	for i := range frame {
+		frame[i] = byte(i * 7)
+	}
+	reg := NewRegistry()
+	reg.Add(blobModule(frame))
+	srv := httptest.NewServer(ServeModules(reg))
+	defer srv.Close()
+	c := NewHTTPClient(srv.URL, "cam")
+	ctx := context.Background()
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := c.Act(ctx, "cam", "shoot", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res["image_png"].([]byte)) != len(frame) {
+			b.Fatal("frame size changed")
 		}
 	}
 }

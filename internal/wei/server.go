@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"colormatch/internal/framing"
 	"colormatch/internal/sim"
 )
 
@@ -191,7 +192,13 @@ func (s *WorkcellServer) handleModules(w http.ResponseWriter, req *http.Request)
 		} else {
 			log.Append(Event{Kind: EvCommandDone, Module: name, Action: ar.Action, Duration: dur})
 		}
-		writeJSON(w, resp)
+		blobs := resp.liftBlobs()
+		body, err := framing.NewBody(resp, blobs)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		body.Respond(w)
 	case "state":
 		writeJSON(w, map[string]any{"state": string(m.State())})
 	case "about":

@@ -6,10 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
+
+	"colormatch/internal/framing"
 )
 
 // Registry is the in-process Client: modules run in the same address space
@@ -88,7 +92,8 @@ func (r *Registry) About(ctx context.Context, module string) (ModuleInfo, error)
 }
 
 // The HTTP wire protocol: each module is exposed under /modules/<name>/ with
-//   POST action  {"action": ..., "args": {...}} -> {"result": {...}} | {"error": ..., "err_class": ...}
+//   POST action  {"action": ..., "args": {...}}
+//                -> framed {"result": {...}, "blob_sizes": {...}} | {"error": ..., "err_class": ...}
 //   GET  state   -> {"state": "ready"}
 //   GET  about   -> ModuleInfo
 // plus the whole-workcell endpoints served by WorkcellServer:
@@ -96,7 +101,11 @@ func (r *Registry) About(ctx context.Context, module string) (ModuleInfo, error)
 //   POST /reset   {"campaign": ...} -> ResetInfo
 //   GET  /session -> SessionInfo
 // mirroring how WEI module servers expose device drivers on attached
-// computers.
+// computers. An action response is an internal/framing body: the top-level
+// []byte values of the Result (a camera frame) leave the JSON header, which
+// lists their keys and byte lengths in blob_sizes, and follow it raw in key
+// order; the client puts them back as []byte, so a Result reads the same
+// over HTTP as from the in-process Registry.
 
 type actRequest struct {
 	Action string `json:"action"`
@@ -105,11 +114,60 @@ type actRequest struct {
 
 type actResponse struct {
 	Result Result `json:"result,omitempty"`
-	Error  string `json:"error,omitempty"`
+	// BlobSizes names the Result keys whose []byte values follow the
+	// header raw, in key order, with their lengths.
+	BlobSizes map[string]int `json:"blob_sizes,omitempty"`
+	Error     string         `json:"error,omitempty"`
 	// ErrClass is the server-side Classify result for Error ("retryable",
 	// "permanent"). Absent in responses from older servers, which the client
 	// reads as retryable — today's behavior.
 	ErrClass string `json:"err_class,omitempty"`
+}
+
+// liftBlobs moves the top-level []byte values of ar.Result out of the JSON
+// header, returning them in key order for the body to carry raw.
+func (ar *actResponse) liftBlobs() [][]byte {
+	var blobs [][]byte
+	for _, k := range slices.Sorted(maps.Keys(ar.Result)) {
+		blob, ok := ar.Result[k].([]byte)
+		if !ok {
+			continue
+		}
+		if ar.BlobSizes == nil {
+			ar.BlobSizes = make(map[string]int)
+			ar.Result = maps.Clone(ar.Result)
+		}
+		ar.BlobSizes[k] = len(blob)
+		delete(ar.Result, k)
+		blobs = append(blobs, blob)
+	}
+	return blobs
+}
+
+// readActResponse decodes a framed action response, restoring its blobs
+// into the Result.
+func readActResponse(r io.Reader, size int64) (actResponse, error) {
+	fr := framing.NewReader(r, size)
+	var ar actResponse
+	if err := fr.Header(&ar); err != nil {
+		return ar, err
+	}
+	keys := slices.Sorted(maps.Keys(ar.BlobSizes))
+	sizes := make([]int, len(keys))
+	for i, k := range keys {
+		sizes[i] = ar.BlobSizes[k]
+	}
+	blobs, err := fr.Blobs(sizes)
+	if err != nil {
+		return ar, err
+	}
+	if len(keys) > 0 && ar.Result == nil {
+		ar.Result = make(Result, len(keys))
+	}
+	for i, k := range keys {
+		ar.Result[k] = blobs[i]
+	}
+	return ar, nil
 }
 
 // Timeouts for the HTTP client. The command timeout must exceed the longest
@@ -204,8 +262,8 @@ func (c *HTTPClient) Act(ctx context.Context, module, action string, args Args) 
 		return nil, &StatusError{Module: module, Op: "act", Code: resp.StatusCode,
 			Body: strings.TrimSpace(string(msg))}
 	}
-	var ar actResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
+	ar, err := readActResponse(resp.Body, resp.ContentLength)
+	if err != nil {
 		// A non-JSON or truncated body from a supposedly healthy server is a
 		// transport fault, not an action failure.
 		return nil, transportErr(ctx, module, "decode", err)
