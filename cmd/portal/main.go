@@ -7,10 +7,10 @@
 //	portal -listen :2100 -data ./portal-data -compact-segments 4 -replay-workers 2
 //
 // Without -data the store is in-memory and dies with the process. With
-// -data every accepted record is appended to a JSON segment log (with
-// attachments in separate blob files) under the given directory and
-// replayed on the next start, so the archive survives restarts; a record
-// torn by a crash mid-append is dropped on replay. Replay decodes segments
+// -data every accepted batch is appended to a JSON segment log as one line
+// (with attachments in separate blob files) under the given directory and
+// replayed on the next start, so the archive survives restarts; a batch
+// torn by a crash mid-append is dropped whole on replay. Replay decodes segments
 // on all cores (-replay-workers caps it), and sealed segments are folded
 // into a snapshot segment by background compaction once more than
 // -compact-segments of them accumulate (0 disables compaction). See

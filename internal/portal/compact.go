@@ -47,15 +47,15 @@ func (s *Store) Compact() error {
 		s.wmu.Unlock()
 		return fmt.Errorf("portal: compact: store has no segment log")
 	}
-	dir := lg.dir
+	dir := lg.root
 	prev := lg.compacted
-	upTo := lg.segSeq - 1
+	upTo := lg.seq - 1
 	// The blob watermark is captured under wmu, so no batch is mid-append:
 	// every blob numbered ≤ blobW is either referenced by a committed
 	// segment line or orphaned forever (its append failed or was torn) —
 	// which makes the unreferenced ones safe to delete.
 	blobW := lg.blob
-	activeSeg := lg.segSeq
+	activeSeg := lg.seq
 	activeLen := lg.size
 	s.wmu.Unlock()
 	if upTo <= prev {
@@ -79,7 +79,7 @@ func (s *Store) maybeCompact() {
 	if s.autoCompact <= 0 || s.log == nil {
 		return
 	}
-	if s.log.segSeq-1-s.log.compacted < s.autoCompact {
+	if s.log.seq-1-s.log.compacted < s.autoCompact {
 		return
 	}
 	if !s.compactQueued.CompareAndSwap(false, true) {
@@ -133,19 +133,15 @@ func compactFiles(dir string, prev, upTo, blobW, activeSeg int, activeLen int64)
 	for n := prev + 1; n <= upTo; n++ {
 		paths = append(paths, segmentPath(dir, n))
 	}
-	decs, err := decodeSegmentFiles(paths, 1)
+	// Sealed segments were fully committed: any bad line in them is real
+	// corruption, never a torn tail, so the decode runs without repair.
+	segs, err := decodeSegmentFiles(paths, 1, false, parseRecordLine)
 	if err != nil {
 		return fmt.Errorf("portal: compact: %w", err)
 	}
-	for i := range decs {
-		// A sealed segment was fully committed; a line that no longer parses
-		// is real corruption, never a torn tail.
-		if decs[i].bad {
-			return fmt.Errorf("portal: compact: corrupt record in %s at offset %d",
-				filepath.Base(decs[i].path), decs[i].badOff)
-		}
-		for ri := range decs[i].recs {
-			sr := &decs[i].recs[ri]
+	for _, seg := range segs {
+		for ri := range seg {
+			sr := &seg[ri]
 			for _, ref := range sr.Blobs {
 				keep[ref.File] = true
 				if n, ok := numberedFile(ref.File, "b-", ".bin"); ok && n > head.Blob {
@@ -267,11 +263,11 @@ func gcOrphanBlobs(dir string, blobW int, keep map[string]bool, activeSeg int, a
 		if err != nil || int64(len(data)) < activeLen {
 			return nil // can't prove anything is orphaned; keep all blobs
 		}
-		res := decodeOneChunk(decodeChunk{data: data[:activeLen]})
+		res := decodeLines(data[:activeLen], 0, parseRecordLine)
 		if res.bad {
 			return nil
 		}
-		for _, sr := range res.recs {
+		for _, sr := range res.items {
 			for _, ref := range sr.Blobs {
 				keep[ref.File] = true
 			}

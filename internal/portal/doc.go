@@ -14,12 +14,13 @@
 //     with the process. It remains the default for tests, examples, and
 //     fleet runs that only need a per-run scratch portal.
 //   - [OpenStore] builds a durable store backed by a data directory: every
-//     ingested record is appended to a JSON segment log and its binary
-//     attachments are written to separate blob files, and on the next
-//     OpenStore the log is replayed to rebuild the store. A torn final
-//     record (the process died mid-append) is dropped on replay; everything
-//     before it survives. [OpenStoreWith] adds replay and compaction
-//     tuning via [Options].
+//     ingested batch is appended to a JSON segment log as one line and its
+//     binary attachments are written to separate blob files, and on the
+//     next OpenStore the log is replayed to rebuild the store. A batch torn
+//     by a crash mid-append is dropped whole on replay; everything before
+//     it survives. [OpenStoreWith] adds replay and compaction tuning via
+//     [Options]. The streaming [Hub] persists events through the same
+//     segment log, with the same locking and torn-tail rules.
 //
 // # Concurrency
 //

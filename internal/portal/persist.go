@@ -1,8 +1,6 @@
 package portal
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -11,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -21,18 +18,20 @@ import (
 //	                                  the covered records in original ingest
 //	                                  order, in the binary format described
 //	                                  in snapcodec.go
-//	<dir>/segments/seg-000006.jsonl   append-only record log, one JSON
-//	                                  object per line, rotated by size
+//	<dir>/segments/seg-000006.jsonl   append-only record log (seglog.go),
+//	                                  one committed batch per line,
+//	                                  rotated by size
 //	<dir>/blobs/b-00000042.bin        attachment bodies, one file each,
 //	                                  referenced by name from segment lines
 //
-// A record becomes durable when its segment line is written and fsynced;
+// A batch becomes durable when its segment line is written and fsynced;
 // its blobs are written (and synced) first, so a line never references a
 // missing blob. On OpenStore the snapshot (if any) and the tail segments
 // are replayed oldest-first — decoded on a worker pool in chunks, merged in
 // ingest order — so restart time is bounded by cores, not archive age. A
-// torn final line (the process died mid-append) is truncated away and
-// everything before it is restored, indexes and summary cache included.
+// torn final line (the process died mid-append) is truncated away, so a
+// batch is restored whole or not at all, and everything before it is
+// restored, indexes and summary cache included.
 // Compaction (see compact.go) replaces sealed segments with a fresh
 // snapshot via write-new-then-atomic-rename; leftovers of a compaction
 // interrupted by a crash (a stale .tmp, segments already covered by the
@@ -42,16 +41,6 @@ const (
 	segmentDirName = "segments"
 	blobDirName    = "blobs"
 )
-
-// maxSegmentBytes rotates the log so no single replay parse or truncation
-// repair has to handle an unbounded file. A variable so rotation tests can
-// shrink it.
-var maxSegmentBytes int64 = 4 << 20
-
-// replayChunkBytes is the decode unit for parallel replay: files are split
-// at line boundaries into chunks of roughly this size, so even a single
-// large snapshot segment decodes across every core. A variable for tests.
-var replayChunkBytes = 512 << 10
 
 // Options tunes OpenStoreWith. The zero value matches OpenStore: replay on
 // all cores, no automatic compaction.
@@ -74,7 +63,9 @@ type Options struct {
 
 // segRecord is the persisted form of one record: Fields inline, attachment
 // bodies replaced by blob references. Batch carries the idempotency key of
-// the batch that committed the record, so dedupe survives a restart.
+// the batch that committed the record, so dedupe survives a restart: a
+// segment line holds the key once for all its records (parseRecordLine
+// copies it in), a snapshot stores it per record.
 type segRecord struct {
 	ID         string             `json:"id"`
 	Experiment string             `json:"experiment"`
@@ -102,27 +93,39 @@ type blobRef struct {
 	Size int    `json:"size"`
 }
 
-// segmentLog is the append side of the persistence layer.
+// segmentLog is the record store's persistence: the shared segment log
+// plus the blob directory and the compaction watermark.
 type segmentLog struct {
-	dir    string // data dir root
-	f      *os.File
-	w      *bufio.Writer
-	size   int64 // committed bytes: the segment's length after the last successful batch
-	segSeq int   // current segment number (1-based)
-	blob   int   // last blob number issued
-	// maxBytes seals the active segment once it grows past this size
-	// (Options.SegmentBytes, defaulted from maxSegmentBytes).
-	maxBytes int64
+	*segLog
+	root string // data dir root
+	blob int    // last blob number issued
 	// compacted is the highest segment number covered by the newest
 	// snapshot segment; sealed segments above it are compaction candidates.
 	compacted int
-	// fault poisons the log: set when a failed append could not be rolled
-	// back (or a rotation failed), leaving the on-disk state untrustworthy
-	// for further writes. Every later append is refused, which keeps the
-	// committed prefix replayable instead of corrupting it.
-	fault error
-	// unlock releases the data dir's single-writer lock on close.
-	unlock func()
+}
+
+// segBatch is one store segment line: a committed batch's records and the
+// idempotency key it committed under.
+type segBatch struct {
+	Key     string      `json:"key,omitempty"`
+	Records []segRecord `json:"records"`
+}
+
+// parseRecordLine flattens one store segment line into its records, each
+// carrying the line's key as Batch, so everything downstream of replay sees
+// per-record segRecords.
+func parseRecordLine(line []byte, out []segRecord) ([]segRecord, bool) {
+	var b segBatch
+	if json.Unmarshal(line, &b) != nil || len(b.Records) == 0 {
+		return out, false
+	}
+	for i := range b.Records {
+		if b.Records[i].Experiment == "" {
+			return out, false
+		}
+		b.Records[i].Batch = b.Key
+	}
+	return append(out, b.Records...), true
 }
 
 func segmentPath(dir string, seq int) string {
@@ -180,90 +183,47 @@ func OpenStore(dir string) (*Store, error) {
 
 // OpenStoreWith is OpenStore with replay and compaction tuning.
 func OpenStoreWith(dir string, opts Options) (*Store, error) {
-	for _, sub := range []string{segmentDirName, blobDirName} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("portal: open store: %w", err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, blobDirName), 0o755); err != nil {
+		return nil, fmt.Errorf("portal: open store: %w", err)
 	}
-	unlock, err := lockDataDir(dir)
-	if err != nil {
-		return nil, err
+	maxBytes := opts.SegmentBytes
+	if maxBytes <= 0 {
+		maxBytes = maxSegmentBytes
 	}
-	opened := false
-	defer func() {
-		if !opened {
-			unlock()
-		}
-	}()
-	snapN, segs, err := cleanSegmentDir(filepath.Join(dir, segmentDirName))
+	segDir := filepath.Join(dir, segmentDirName)
+	snapN := 0
+	sweep := func() (int, error) {
+		var err error
+		snapN, err = sweepSegmentDir(segDir)
+		return snapN, err
+	}
+	lg, segs, err := openSegLog(dir, segDir, "seg-", maxBytes, opts.ReplayWorkers, sweep, parseRecordLine)
 	if err != nil {
 		return nil, err
 	}
 	s, watermarks, err := replayArchive(dir, snapN, segs, opts.ReplayWorkers)
 	if err != nil {
+		_ = lg.close() // already failing; nothing was appended
 		return nil, err
 	}
-
-	log := &segmentLog{dir: dir, segSeq: snapN + 1, compacted: snapN, blob: watermarks.blob, maxBytes: opts.SegmentBytes}
-	if log.maxBytes <= 0 {
-		log.maxBytes = maxSegmentBytes
-	}
-	if len(segs) > 0 {
-		log.segSeq = segs[len(segs)-1]
-	}
-	f, err := os.OpenFile(segmentPath(dir, log.segSeq), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("portal: open segment: %w", err)
-	}
-	// The OpenFile may just have created the segment: make its directory
-	// entry durable before any batch is acknowledged out of it.
-	if err := syncDir(filepath.Join(dir, segmentDirName)); err != nil {
-		_ = f.Close() // already failing; nothing durable was written yet
-		return nil, fmt.Errorf("portal: open segment: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close() // already failing; nothing durable was written yet
-		return nil, fmt.Errorf("portal: open segment: %w", err)
-	}
-	log.f, log.w, log.size = f, bufio.NewWriter(f), st.Size()
-	// A crash can tear exactly at the line/newline boundary: the final
-	// record's JSON is complete (replay kept it) but its '\n' never landed.
-	// Repair the boundary now, or the next append would concatenate onto
-	// that line and a later replay would reject or drop both records.
-	if log.size > 0 {
-		tail := make([]byte, 1)
-		if _, err := f.ReadAt(tail, log.size-1); err != nil {
-			_ = f.Close() // already failing; nothing durable was written yet
-			return nil, fmt.Errorf("portal: open segment: %w", err)
-		}
-		if tail[0] != '\n' {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				_ = f.Close() // already failing; nothing durable was written yet
-				return nil, fmt.Errorf("portal: repair segment boundary: %w", err)
-			}
-			log.size++
-		}
-	}
-	log.unlock = unlock
+	log := &segmentLog{segLog: lg, root: dir, blob: watermarks.blob, compacted: snapN}
 	s.seq = watermarks.seq
 	s.log = log
 	s.readLog.Store(log)
 	s.autoCompact = opts.AutoCompactSegments
-	opened = true
 	return s, nil
 }
 
-// cleanSegmentDir sweeps leftovers of an interrupted compaction and
-// returns the newest snapshot number (0 if none) plus the sorted tail
-// segment numbers to replay after it. Removed: stale *.tmp stages, older
-// snapshots superseded by the newest one, and segments the newest snapshot
-// already covers (a crash between rename and cleanup leaves both; replaying
-// both would abort on duplicate IDs).
-func cleanSegmentDir(segDir string) (snapN int, segs []int, err error) {
+// sweepSegmentDir sweeps leftovers of an interrupted compaction and returns
+// the newest snapshot number (0 if none); the segments after it are the
+// tail to replay. Removed: stale *.tmp stages, older snapshots superseded
+// by the newest one, and segments the newest snapshot already covers (a
+// crash between rename and cleanup leaves both; replaying both would abort
+// on duplicate IDs).
+func sweepSegmentDir(segDir string) (snapN int, err error) {
 	names, err := filepath.Glob(filepath.Join(segDir, "*"))
 	if err != nil {
-		return 0, nil, fmt.Errorf("portal: open store: %w", err)
+		return 0, fmt.Errorf("portal: open store: %w", err)
 	}
 	for _, name := range names {
 		if n, ok := numberedFile(filepath.Base(name), "snap-", ".snap"); ok && n > snapN {
@@ -277,170 +237,22 @@ func cleanSegmentDir(segDir string) (snapN int, segs []int, err error) {
 		if n, ok := numberedFile(base, "snap-", ".snap"); ok && n < snapN {
 			drop = true
 		}
-		if n, ok := numberedFile(base, "seg-", ".jsonl"); ok {
-			if n <= snapN {
-				drop = true
-			} else {
-				segs = append(segs, n)
-			}
+		if n, ok := numberedFile(base, "seg-", ".jsonl"); ok && n <= snapN {
+			drop = true
 		}
 		if drop {
 			if err := os.Remove(name); err != nil {
-				return 0, nil, fmt.Errorf("portal: sweep %s: %w", base, err)
+				return 0, fmt.Errorf("portal: sweep %s: %w", base, err)
 			}
 			removed = true
 		}
 	}
 	if removed {
 		if err := syncDir(segDir); err != nil {
-			return 0, nil, fmt.Errorf("portal: sweep segment dir: %w", err)
+			return 0, fmt.Errorf("portal: sweep segment dir: %w", err)
 		}
 	}
-	sort.Ints(segs)
-	for i := 1; i < len(segs); i++ {
-		if segs[i] != segs[i-1]+1 {
-			return 0, nil, fmt.Errorf("portal: segment log gap: missing seg-%06d", segs[i-1]+1)
-		}
-	}
-	if snapN > 0 && len(segs) > 0 && segs[0] != snapN+1 {
-		return 0, nil, fmt.Errorf("portal: segment log gap: missing seg-%06d", snapN+1)
-	}
-	return snapN, segs, nil
-}
-
-// fileDecode is the decoded contents of one JSONL segment file.
-type fileDecode struct {
-	path string
-	size int64
-	recs []segRecord
-	// First undecodable line, if any: its file offset, the offset past its
-	// bytes, and whether it carried a trailing newline — enough for the
-	// caller to distinguish a torn tail from in-place corruption.
-	bad           bool
-	badOff        int64
-	badEnd        int64
-	badTerminated bool
-}
-
-// decodeChunk is one parallel decode unit: a line-aligned byte range of one
-// segment file.
-type decodeChunk struct {
-	file int
-	base int64
-	data []byte
-}
-
-type chunkResult struct {
-	recs          []segRecord
-	bad           bool
-	badOff        int64
-	badEnd        int64
-	badTerminated bool
-}
-
-// decodeSegmentFiles reads and decodes the given JSONL segments on a worker
-// pool. Chunks are split at line boundaries, so one big segment still
-// decodes across all workers; results are reassembled in file/offset order
-// so the caller sees exactly the sequential decode's output.
-func decodeSegmentFiles(paths []string, workers int) ([]fileDecode, error) {
-	decs := make([]fileDecode, len(paths))
-	var chunks []decodeChunk
-	for i, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("portal: replay %s: %w", filepath.Base(path), err)
-		}
-		decs[i] = fileDecode{path: path, size: int64(len(data))}
-		for base := 0; base < len(data); {
-			end := base + replayChunkBytes
-			if end >= len(data) {
-				end = len(data)
-			} else if nl := bytes.IndexByte(data[end:], '\n'); nl >= 0 {
-				end += nl + 1
-			} else {
-				end = len(data)
-			}
-			chunks = append(chunks, decodeChunk{file: i, base: int64(base), data: data[base:end]})
-			base = end
-		}
-	}
-	if workers <= 0 {
-		workers = maxReplayWorkers()
-	}
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	results := make([]chunkResult, len(chunks))
-	if workers <= 1 {
-		for i, c := range chunks {
-			results[i] = decodeOneChunk(c)
-		}
-	} else {
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					results[i] = decodeOneChunk(chunks[i])
-				}
-			}()
-		}
-		for i := range chunks {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
-	for i, c := range chunks {
-		res := results[i]
-		fd := &decs[c.file]
-		if fd.bad {
-			continue // everything past the first bad line is unreachable
-		}
-		fd.recs = append(fd.recs, res.recs...)
-		if res.bad {
-			fd.bad = true
-			fd.badOff = res.badOff
-			fd.badEnd = res.badEnd
-			fd.badTerminated = res.badTerminated
-		}
-	}
-	return decs, nil
-}
-
-// decodeOneChunk parses one chunk's lines. A line that fails to parse (or
-// parses without an experiment name) stops the chunk; the caller decides
-// whether that is a legal torn tail or corruption.
-func decodeOneChunk(c decodeChunk) chunkResult {
-	var res chunkResult
-	data := c.data
-	off := c.base
-	for len(data) > 0 {
-		line := data
-		terminated := false
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			line, data = data[:i], data[i+1:]
-			terminated = true
-		} else {
-			data = nil
-		}
-		var sr segRecord
-		if err := json.Unmarshal(line, &sr); err != nil || sr.Experiment == "" {
-			res.bad = true
-			res.badOff = off
-			res.badEnd = off + int64(len(line))
-			res.badTerminated = terminated
-			return res
-		}
-		res.recs = append(res.recs, sr)
-		off += int64(len(line))
-		if terminated {
-			off++
-		}
-	}
-	return res
+	return snapN, nil
 }
 
 // replayWatermarks carries the sequence counters recovered during replay.
@@ -455,7 +267,7 @@ type replayWatermarks struct {
 // sorted insert, with per-experiment indexes derived from the global order
 // in one pass. Snapshot records skip the per-record watermark scan — their
 // header carries the covered watermarks.
-func replayArchive(dir string, snapN int, segs []int, workers int) (*Store, replayWatermarks, error) {
+func replayArchive(dir string, snapN int, segs [][]segRecord, workers int) (*Store, replayWatermarks, error) {
 	s := NewStore()
 	var marks replayWatermarks
 	var snapRecs []segRecord
@@ -474,21 +286,14 @@ func replayArchive(dir string, snapN int, segs []int, workers int) (*Store, repl
 		marks.seq, marks.blob = head.Seq, head.Blob
 		snapRecs = recs
 	}
-	paths := make([]string, len(segs))
-	for i, n := range segs {
-		paths[i] = segmentPath(dir, n)
-	}
-	decs, err := decodeSegmentFiles(paths, workers)
-	if err != nil {
-		return nil, marks, err
-	}
 	total := len(snapRecs)
-	for _, fd := range decs {
-		total += len(fd.recs)
+	for _, recs := range segs {
+		total += len(recs)
 	}
 	entries := make([]entry, 0, total)
 	ids := make(map[string]int, total)
 	var lastBatch string
+	var run []string
 	addRec := func(sr *segRecord, file string, scanMarks bool) error {
 		if _, dup := ids[sr.ID]; dup {
 			return fmt.Errorf("portal: duplicate record id %q in %s", sr.ID, file)
@@ -517,10 +322,10 @@ func replayArchive(dir string, snapN int, segs []int, workers int) (*Store, repl
 		// latest run of a key wins, matching the in-memory FIFO).
 		if sr.Batch != "" {
 			if sr.Batch != lastBatch {
-				s.rememberBatch(sr.Batch, nil)
-				s.batches[sr.Batch] = s.batches[sr.Batch][:0]
+				run = nil
 			}
-			s.batches[sr.Batch] = append(s.batches[sr.Batch], sr.ID)
+			run = append(run, sr.ID)
+			s.batches.put(sr.Batch, run)
 		}
 		lastBatch = sr.Batch
 		return nil
@@ -534,26 +339,10 @@ func replayArchive(dir string, snapN int, segs []int, workers int) (*Store, repl
 			return nil, marks, err
 		}
 	}
-	for fi := range decs {
-		fd := &decs[fi]
-		if fd.bad {
-			// A torn append can only leave an unterminated final line of the
-			// final segment: appendRecords writes each line with its '\n' in
-			// one prefix-failing write, so a line that ends in '\n' was fully
-			// committed — if it no longer parses, that is in-place corruption
-			// to report, not a tear to truncate.
-			torn := fi == len(decs)-1 && fd.badEnd == fd.size && !fd.badTerminated
-			if !torn {
-				return nil, marks, fmt.Errorf("portal: corrupt record in %s at offset %d",
-					filepath.Base(fd.path), fd.badOff)
-			}
-			if terr := os.Truncate(fd.path, fd.badOff); terr != nil {
-				return nil, marks, fmt.Errorf("portal: truncate torn tail of %s: %w",
-					filepath.Base(fd.path), terr)
-			}
-		}
-		for ri := range fd.recs {
-			if err := addRec(&fd.recs[ri], filepath.Base(fd.path), true); err != nil {
+	for si, recs := range segs {
+		file := filepath.Base(segmentPath(dir, snapN+1+si))
+		for ri := range recs {
+			if err := addRec(&recs[ri], file, true); err != nil {
 				return nil, marks, err
 			}
 		}
@@ -596,7 +385,7 @@ func (l *segmentLog) writeBlobs(files map[string][]byte) (map[string]blobRef, er
 	for _, name := range names {
 		l.blob++
 		file := fmt.Sprintf("b-%08d.bin", l.blob)
-		if err := writeFileSync(filepath.Join(l.dir, blobDirName, file), files[name]); err != nil {
+		if err := writeFileSync(filepath.Join(l.root, blobDirName, file), files[name]); err != nil {
 			return nil, fmt.Errorf("portal: write blob: %w", err)
 		}
 		refs[name] = blobRef{File: file, Size: len(files[name])}
@@ -604,19 +393,10 @@ func (l *segmentLog) writeBlobs(files map[string][]byte) (map[string]blobRef, er
 	return refs, nil
 }
 
-// usable reports whether the log can accept appends, surfacing the poison
-// fault set by an unrecoverable earlier failure.
-func (l *segmentLog) usable() error {
-	if l.fault != nil {
-		return fmt.Errorf("portal: segment log unusable after earlier failure: %w", l.fault)
-	}
-	return nil
-}
-
 // syncBlobDir makes newly written blobs' directory entries durable; called
 // once per ingest batch rather than once per record.
 func (l *segmentLog) syncBlobDir() error {
-	if err := syncDir(filepath.Join(l.dir, blobDirName)); err != nil {
+	if err := syncDir(filepath.Join(l.root, blobDirName)); err != nil {
 		return fmt.Errorf("portal: sync blob dir: %w", err)
 	}
 	return nil
@@ -659,7 +439,7 @@ func writeFileSync(path string, data []byte) error {
 func (l *segmentLog) readBlobs(refs map[string]blobRef) (map[string][]byte, error) {
 	files := make(map[string][]byte, len(refs))
 	for name, ref := range refs {
-		data, err := os.ReadFile(filepath.Join(l.dir, blobDirName, ref.File))
+		data, err := os.ReadFile(filepath.Join(l.root, blobDirName, ref.File))
 		if err != nil {
 			return nil, fmt.Errorf("load attachment %q: %w", name, err)
 		}
@@ -668,92 +448,15 @@ func (l *segmentLog) readBlobs(refs map[string]blobRef) (map[string][]byte, erro
 	return files, nil
 }
 
-// appendRecords makes a batch durable as a unit, rotating to a fresh
-// segment when the current one is full. Every line is encoded before any
-// byte is staged, so an unmarshalable record (say a NaN field value)
-// rejects the batch without touching the log. A failed write or flush rolls
-// the segment back to its last committed length — buffered bytes are
-// discarded and partially flushed ones truncated — so no phantom line can
-// ride along with a later batch and brick replay with a duplicate ID. If
-// the rollback itself fails the log is poisoned and refuses further
-// appends. Callers hold the store lock.
-func (l *segmentLog) appendRecords(recs []Record, blobs []map[string]blobRef, batchKey string) error {
-	if err := l.usable(); err != nil {
-		return err
-	}
-	var batch []byte
+// appendRecords commits a batch's records as one segment line under the
+// batch's idempotency key. Their blobs and blob names are already synced
+// (writeBlobs, syncBlobDir), so the line's fsync commits the whole chain.
+// Callers hold the store lock.
+func (l *segmentLog) appendRecords(recs []Record, blobs []map[string]blobRef, key string) error {
+	srs := make([]segRecord, len(recs))
 	for i, rec := range recs {
-		sr := segRecord{ID: rec.ID, Experiment: rec.Experiment, Run: rec.Run, Time: rec.Time,
-			Fields: rec.Fields, Blobs: blobs[i], Batch: batchKey}
-		line, err := json.Marshal(sr)
-		if err != nil {
-			// The record itself is unencodable (a NaN field, say): that is
-			// the submitter's ErrInvalid, not a store fault — retrying or
-			// resending the identical batch can never succeed.
-			return fmt.Errorf("%w: encode record %s: %v", ErrInvalid, rec.ID, err)
-		}
-		batch = append(batch, line...)
-		batch = append(batch, '\n')
+		srs[i] = segRecord{ID: rec.ID, Experiment: rec.Experiment, Run: rec.Run, Time: rec.Time,
+			Fields: rec.Fields, Blobs: blobs[i]}
 	}
-	_, werr := l.w.Write(batch)
-	if werr == nil {
-		werr = l.w.Flush()
-	}
-	if werr == nil {
-		// The fsync is the commit point: a record acknowledged to the caller
-		// must survive power loss, not just process death. Segment and blob
-		// directory entries are synced where the files are created, so the
-		// whole chain — blob bytes, blob name, segment line, segment name —
-		// is on disk before the batch commits.
-		werr = l.f.Sync()
-	}
-	if werr != nil {
-		l.w.Reset(l.f)
-		if terr := l.f.Truncate(l.size); terr != nil {
-			l.fault = fmt.Errorf("roll back segment to %d bytes: %v (after append failure: %v)", l.size, terr, werr)
-			return fmt.Errorf("portal: %w", l.fault)
-		}
-		return fmt.Errorf("portal: append batch: %w", werr)
-	}
-	l.size += int64(len(batch))
-	if l.size >= l.maxBytes {
-		if err := l.rotate(); err != nil {
-			// The flush succeeded, so this batch is durable and must commit;
-			// only future appends have nowhere safe to go.
-			l.fault = err
-		}
-	}
-	return nil
-}
-
-// rotate closes the current segment and starts the next one.
-func (l *segmentLog) rotate() error {
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("portal: close segment: %w", err)
-	}
-	l.segSeq++
-	f, err := os.OpenFile(segmentPath(l.dir, l.segSeq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("portal: rotate segment: %w", err)
-	}
-	if err := syncDir(filepath.Join(l.dir, segmentDirName)); err != nil {
-		// The rotation is failing and poisons the log; the fresh, empty
-		// segment's close error cannot matter beyond that.
-		_ = f.Close()
-		return fmt.Errorf("portal: rotate segment: %w", err)
-	}
-	l.f, l.w, l.size = f, bufio.NewWriter(f), 0
-	return nil
-}
-
-// close flushes and closes the log, releasing the data dir lock.
-func (l *segmentLog) close() error {
-	defer l.unlock()
-	if err := l.w.Flush(); err != nil {
-		// The flush failure is the error to surface; the close error is
-		// subsumed by it (the committed prefix is still replayable).
-		_ = l.f.Close()
-		return fmt.Errorf("portal: flush segment: %w", err)
-	}
-	return l.f.Close()
+	return l.append(segBatch{Key: key, Records: srs})
 }

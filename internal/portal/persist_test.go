@@ -223,8 +223,9 @@ func TestCrashRecoveryMissingFinalNewline(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryMidBatch tears a multi-record batch: the durable prefix
-// of the batch survives, only the torn last line drops.
+// TestCrashRecoveryMidBatch tears a multi-record batch: a batch is one
+// segment line, so the torn batch drops whole and the batch committed
+// before it survives whole.
 func TestCrashRecoveryMidBatch(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir)
@@ -232,14 +233,17 @@ func TestCrashRecoveryMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := diskRecords(5)
-	if _, err := s.IngestBatch(recs); err != nil {
+	if _, err := s.IngestBatch(recs[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.IngestBatch(recs[2:]); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	seg := lastSegment(t, dir)
 	data, _ := os.ReadFile(seg)
 	// Cut 7 bytes into the final line's JSON (strip trailing newline, then
-	// a bit of the record itself).
+	// a bit of the batch itself).
 	if err := os.WriteFile(seg, data[:len(data)-8], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +252,48 @@ func TestCrashRecoveryMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	assertMatchesFresh(t, reopened, recs[:4])
+	assertMatchesFresh(t, reopened, recs[:2])
+}
+
+// TestCrashRecoveryKeyedRetryAfterTornBatch: a keyed batch torn by a crash
+// was never acknowledged, so its publisher retries it under the same key.
+// The retry must store the whole batch — not be answered from a dedupe
+// memory rebuilt out of the torn batch's surviving prefix.
+func TestCrashRecoveryKeyedRetryAfterTornBatch(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := diskRecords(5)
+	if _, err := s.IngestBatchKeyed("batch-1", recs); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	seg := lastSegment(t, dir)
+	data, _ := os.ReadFile(seg)
+	if err := os.WriteFile(seg, data[:len(data)-8], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	ids, err := reopened.IngestBatchKeyed("batch-1", recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != len(recs) {
+		t.Fatalf("retry after torn batch returned %d IDs, want %d", len(ids), len(recs))
+	}
+	for i, id := range ids {
+		got, err := reopened.Get(id)
+		if err != nil || got.Run != recs[i].Run {
+			t.Fatalf("record %d (%s) after retry = %+v, %v", i, id, got, err)
+		}
+	}
+	assertMatchesFresh(t, reopened, recs)
 }
 
 // TestReplayRejectsMidLogCorruption: a corrupt record that is NOT the tail

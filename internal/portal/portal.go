@@ -206,8 +206,7 @@ type Store struct {
 	readLog atomic.Pointer[segmentLog]
 	// batches remembers recently used idempotency keys and the IDs their
 	// batches committed with, so a retried batch is answered, not re-run.
-	batches    map[string][]string
-	batchOrder []string
+	batches keyMemory[[]string]
 	// autoCompact, when positive, triggers background compaction once that
 	// many sealed segments accumulate past the last snapshot.
 	autoCompact   int
@@ -218,7 +217,7 @@ type Store struct {
 
 // NewStore returns an empty in-memory store.
 func NewStore() *Store {
-	s := &Store{batches: make(map[string][]string)}
+	s := &Store{}
 	s.snap.Store(&snapshot{byExp: make(map[string][]int)})
 	return s
 }
@@ -281,7 +280,7 @@ func (s *Store) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 		return nil, fmt.Errorf("portal: store is closed")
 	}
 	if key != "" {
-		if ids, ok := s.batches[key]; ok {
+		if ids, ok := s.batches.get(key); ok {
 			return append([]string(nil), ids...), nil
 		}
 	}
@@ -376,22 +375,10 @@ func (s *Store) IngestBatchKeyed(key string, recs []Record) ([]string, error) {
 	}
 	s.snap.Store(old.with(added))
 	if key != "" {
-		s.rememberBatch(key, ids)
+		s.batches.put(key, append([]string(nil), ids...))
 	}
 	s.maybeCompact()
 	return ids, nil
-}
-
-// rememberBatch records a committed idempotency key. Callers hold wmu.
-func (s *Store) rememberBatch(key string, ids []string) {
-	if _, ok := s.batches[key]; !ok {
-		s.batchOrder = append(s.batchOrder, key)
-	}
-	s.batches[key] = append([]string(nil), ids...)
-	for len(s.batchOrder) > maxBatchKeys {
-		delete(s.batches, s.batchOrder[0])
-		s.batchOrder = s.batchOrder[1:]
-	}
 }
 
 // Get returns the record with the given ID, loading its attachments from

@@ -1,16 +1,11 @@
 package portal
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,14 +15,15 @@ import (
 
 // The streaming hub turns the portal from an archive into a serving system:
 // fleets POST step events as they happen, dashboards GET /watch and see them
-// live. The design mirrors the record store's persistence and pagination
-// machinery one layer down:
+// live. It shares the record store's persistence and mirrors its
+// pagination one layer down:
 //
 //   - every published event gets a global, gapless sequence number — the
 //     stream's cursor space, exactly the record store's keyset cursors;
-//   - batches land in an append-only JSONL segment log (fsync commit point,
-//     torn-tail repair on replay, rotation) so a portal restart loses
-//     nothing that was acknowledged;
+//   - batches land in the same segment log the store uses (seglog.go: one
+//     line per batch, fsync commit point, torn-tail repair on replay,
+//     rotation, single-writer lock) and dedupe through the same key
+//     memory, so a portal restart loses nothing that was acknowledged;
 //   - subscribers carry bounded buffers and are evicted — never waited on —
 //     when they fall behind, so one stalled dashboard cannot stall the hub
 //     or the fleet publishing into it;
@@ -151,8 +147,6 @@ type HubOptions struct {
 	// durable log keeps everything regardless — MaxHistory only bounds what
 	// a reconnect can be backfilled from memory.
 	MaxHistory int
-	// SegmentBytes rotates durable log segments at this size (default 4 MiB).
-	SegmentBytes int64
 }
 
 // Hub is the portal's streaming core: a cursor-addressable event log with
@@ -167,12 +161,11 @@ type Hub struct {
 	base   int64         // seqs 1..base have been trimmed from memory
 	last   int64         // seq of the newest published event
 	subs   map[*Subscriber]struct{}
-	// Idempotency-key memory, FIFO-capped like the record store's batch
-	// keys: key -> cursor returned by the original commit.
-	keys     map[string]string
-	keyOrder []string
-	log      *streamLog // nil when memory-only
-	closed   bool
+	// keys answers a retried publish key with the cursor its original
+	// commit returned.
+	keys   keyMemory[string]
+	log    *segLog // nil when memory-only
+	closed bool
 }
 
 // OpenHub opens a streaming hub, replaying the durable event log under
@@ -181,35 +174,34 @@ func OpenHub(opts HubOptions) (*Hub, error) {
 	if opts.SubscriberBuffer <= 0 {
 		opts.SubscriberBuffer = 256
 	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 4 << 20
-	}
 	h := &Hub{
 		opts: opts,
 		subs: make(map[*Subscriber]struct{}),
-		keys: make(map[string]string),
 	}
-	if opts.Dir != "" {
-		log, batches, err := openStreamLog(opts.Dir, opts.SegmentBytes)
-		if err != nil {
-			return nil, err
-		}
-		h.log = log
+	if opts.Dir == "" {
+		return h, nil
+	}
+	log, segs, err := openSegLog(opts.Dir, opts.Dir, "ev-", maxSegmentBytes, 0, nil, parseEventLine)
+	if err != nil {
+		return nil, err
+	}
+	h.log = log
+	for _, batches := range segs {
 		for _, b := range batches {
 			for _, ev := range b.Events {
 				if ev.Seq != h.last+1 {
-					_ = log.close()
+					_ = log.close() // already failing; nothing was appended
 					return nil, fmt.Errorf("portal: stream log corrupt: event seq %d after %d", ev.Seq, h.last)
 				}
 				h.last = ev.Seq
 				h.events = append(h.events, ev)
 			}
 			if b.Key != "" {
-				h.rememberKeyLocked(b.Key, encodeStreamCursor(h.last))
+				h.keys.put(b.Key, encodeStreamCursor(h.last))
 			}
 		}
-		h.trimLocked()
 	}
+	h.trimLocked()
 	return h, nil
 }
 
@@ -254,7 +246,7 @@ func (h *Hub) PublishEventsKeyed(key string, evs []StreamEvent) (string, error) 
 		return "", ErrStreamClosed
 	}
 	if key != "" {
-		if cursor, ok := h.keys[key]; ok {
+		if cursor, ok := h.keys.get(key); ok {
 			return cursor, nil
 		}
 	}
@@ -272,7 +264,7 @@ func (h *Hub) PublishEventsKeyed(key string, evs []StreamEvent) (string, error) 
 		// Durability before visibility: the batch reaches disk before any
 		// subscriber (or the publisher's ack) can observe it, so nothing a
 		// consumer saw can vanish in a restart.
-		if err := h.log.appendBatch(streamBatch{Key: key, Events: batch}); err != nil {
+		if err := h.log.append(streamBatch{Key: key, Events: batch}); err != nil {
 			return "", err
 		}
 	}
@@ -281,23 +273,10 @@ func (h *Hub) PublishEventsKeyed(key string, evs []StreamEvent) (string, error) 
 	h.trimLocked()
 	cursor := encodeStreamCursor(h.last)
 	if key != "" {
-		h.rememberKeyLocked(key, cursor)
+		h.keys.put(key, cursor)
 	}
 	h.fanOutLocked(batch)
 	return cursor, nil
-}
-
-// rememberKeyLocked records a committed batch key, evicting oldest-first
-// past the cap. Caller holds h.mu.
-func (h *Hub) rememberKeyLocked(key, cursor string) {
-	if _, dup := h.keys[key]; !dup {
-		h.keyOrder = append(h.keyOrder, key)
-	}
-	h.keys[key] = cursor
-	for len(h.keyOrder) > maxBatchKeys {
-		delete(h.keys, h.keyOrder[0])
-		h.keyOrder = h.keyOrder[1:]
-	}
 }
 
 // trimLocked enforces MaxHistory on the in-memory backfill window. Caller
@@ -427,8 +406,8 @@ func (h *Hub) Close() error {
 		h.dropLocked(sub, ErrStreamClosed)
 	}
 	if h.log != nil {
-		// The commit point is appendBatch's fsync, but a close that cannot
-		// flush still matters to the operator — surface it.
+		// Every batch was fsynced at its commit, but a close that fails
+		// still matters to the operator — surface it.
 		if err := h.log.close(); err != nil {
 			return fmt.Errorf("portal: close stream log: %w", err)
 		}
@@ -541,9 +520,7 @@ func (s *Subscriber) Cancel() {
 	s.hub.mu.Unlock()
 }
 
-// --- durable stream log ---------------------------------------------------
-
-// streamBatch is one committed publish: a JSONL line in the stream log.
+// streamBatch is one committed publish: a line in the hub's segment log.
 // Recording the idempotency key beside the events lets replay rebuild the
 // dedupe memory, so a publisher retrying across a portal restart still
 // cannot double-append.
@@ -552,186 +529,11 @@ type streamBatch struct {
 	Events []StreamEvent `json:"events"`
 }
 
-// streamLog is the hub's append-only JSONL segment log: ev-NNNNNN.jsonl
-// files, one line per batch, fsync as the commit point, rotation by size.
-// It reuses the record store's torn-tail discipline: a final unterminated
-// line is an uncommitted batch (the newline is written before the fsync)
-// and is truncated on open; damage anywhere else is loud corruption.
-type streamLog struct {
-	dir      string
-	f        *os.File
-	w        *bufio.Writer
-	seq      int   // current segment number
-	size     int64 // committed bytes in the current segment
-	maxBytes int64
-	// fault poisons the log after a failed rollback, exactly like the
-	// record store's segment log: the on-disk state is no longer trusted
-	// for appends, but the committed prefix stays replayable.
-	fault error
-}
-
-func streamSegPath(dir string, seq int) string {
-	return filepath.Join(dir, fmt.Sprintf("ev-%06d.jsonl", seq))
-}
-
-// openStreamLog opens dir (creating it), replays every committed batch, and
-// leaves the newest segment open for append.
-func openStreamLog(dir string, maxBytes int64) (*streamLog, []streamBatch, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("portal: create stream dir: %w", err)
+// parseEventLine decodes one hub segment line.
+func parseEventLine(line []byte, out []streamBatch) ([]streamBatch, bool) {
+	var b streamBatch
+	if json.Unmarshal(line, &b) != nil || len(b.Events) == 0 {
+		return out, false
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("portal: read stream dir: %w", err)
-	}
-	var seqs []int
-	for _, e := range entries {
-		if n, ok := numberedFile(e.Name(), "ev-", ".jsonl"); ok {
-			seqs = append(seqs, n)
-		}
-	}
-	sort.Ints(seqs)
-	for i, n := range seqs {
-		if n != i+1 {
-			return nil, nil, fmt.Errorf("portal: stream log has a segment gap: found ev-%06d at position %d", n, i+1)
-		}
-	}
-	l := &streamLog{dir: dir, maxBytes: maxBytes, seq: 1}
-	if len(seqs) > 0 {
-		l.seq = seqs[len(seqs)-1]
-	}
-	var batches []streamBatch
-	for _, n := range seqs {
-		bs, err := l.replaySegment(n, n == l.seq)
-		if err != nil {
-			return nil, nil, err
-		}
-		batches = append(batches, bs...)
-	}
-	f, err := os.OpenFile(streamSegPath(dir, l.seq), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("portal: open stream segment: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, nil, fmt.Errorf("portal: stat stream segment: %w", err)
-	}
-	l.f, l.w, l.size = f, bufio.NewWriter(f), st.Size()
-	return l, batches, nil
-}
-
-// replaySegment decodes one segment's committed batches. In the final
-// segment a trailing unterminated line is truncated away as a torn write;
-// everywhere else any undecodable line is corruption.
-func (l *streamLog) replaySegment(seq int, last bool) ([]streamBatch, error) {
-	path := streamSegPath(l.dir, seq)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("portal: read stream segment: %w", err)
-	}
-	var batches []streamBatch
-	off := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			// Unterminated final line: the newline precedes the fsync, so
-			// this batch never committed. Repairable only at the very tail
-			// of the very last segment.
-			if !last {
-				return nil, fmt.Errorf("portal: stream segment %s: unterminated line mid-log", path)
-			}
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return nil, fmt.Errorf("portal: truncate torn stream tail: %w", err)
-			}
-			return batches, nil
-		}
-		line := data[off : off+nl]
-		off += nl + 1
-		var b streamBatch
-		if err := json.Unmarshal(line, &b); err != nil {
-			return nil, fmt.Errorf("portal: stream segment %s corrupt: %v", path, err)
-		}
-		batches = append(batches, b)
-	}
-	return batches, nil
-}
-
-// appendBatch makes one publish durable: encode, write line, flush, fsync.
-// A failed write rolls the segment back to its committed length so no
-// phantom half-line can ride along with a later batch; a failed rollback
-// poisons the log.
-func (l *streamLog) appendBatch(b streamBatch) error {
-	if l.fault != nil {
-		return fmt.Errorf("portal: stream log poisoned by earlier failure: %w", l.fault)
-	}
-	line, err := json.Marshal(b)
-	if err != nil {
-		return fmt.Errorf("%w: encode stream batch: %v", ErrInvalid, err)
-	}
-	line = append(line, '\n')
-	if l.size > 0 && l.size+int64(len(line)) > l.maxBytes {
-		if err := l.rotate(); err != nil {
-			return err
-		}
-	}
-	if _, err := l.w.Write(line); err == nil {
-		err = l.w.Flush()
-	}
-	if err == nil {
-		err = l.f.Sync()
-	}
-	if err != nil {
-		l.w.Reset(l.f)
-		if terr := l.f.Truncate(l.size); terr != nil {
-			l.fault = terr
-			return fmt.Errorf("portal: stream append failed (%v) and rollback failed: %w", err, terr)
-		}
-		if _, serr := l.f.Seek(l.size, 0); serr != nil {
-			l.fault = serr
-			return fmt.Errorf("portal: stream append failed (%v) and reseek failed: %w", err, serr)
-		}
-		return fmt.Errorf("portal: append stream batch: %w", err)
-	}
-	l.size += int64(len(line))
-	return nil
-}
-
-// rotate closes the full segment and starts the next one, fsyncing the
-// directory so the new name survives a power loss.
-func (l *streamLog) rotate() error {
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("portal: flush stream segment: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("portal: sync stream segment: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("portal: close stream segment: %w", err)
-	}
-	next, err := os.OpenFile(streamSegPath(l.dir, l.seq+1), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		l.fault = err
-		return fmt.Errorf("portal: rotate stream segment: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		l.fault = err
-		_ = next.Close()
-		return fmt.Errorf("portal: sync stream dir: %w", err)
-	}
-	l.seq++
-	l.f, l.w, l.size = next, bufio.NewWriter(next), 0
-	return nil
-}
-
-// close flushes and closes the open segment.
-func (l *streamLog) close() error {
-	err := l.w.Flush()
-	if serr := l.f.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return append(out, b), true
 }

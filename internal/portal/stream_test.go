@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -20,6 +21,11 @@ func benchEvent(exp string, srcSeq int) StreamEvent {
 		Time:       time.Date(2023, 8, 16, 9, 0, srcSeq, 0, time.UTC),
 		SrcSeq:     srcSeq,
 	}
+}
+
+// eventSegment is the path of the hub's nth segment file under dir.
+func eventSegment(dir string, n int) string {
+	return filepath.Join(dir, fmt.Sprintf("ev-%06d.jsonl", n))
 }
 
 func mustPublish(t *testing.T, h *Hub, evs ...StreamEvent) string {
@@ -275,7 +281,8 @@ func TestStreamInvalidEventsRejected(t *testing.T) {
 
 func TestStreamDurableReplay(t *testing.T) {
 	dir := t.TempDir()
-	h, err := OpenHub(HubOptions{Dir: dir, SegmentBytes: 1 << 10}) // force rotations
+	smallSegments(t, 1<<10) // force rotations
+	h, err := OpenHub(HubOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +295,7 @@ func TestStreamDurableReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	h2, err := OpenHub(HubOptions{Dir: dir, SegmentBytes: 1 << 10})
+	h2, err := OpenHub(HubOptions{Dir: dir})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -328,7 +335,7 @@ func TestStreamTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-append: a half-written line with no newline.
-	f, err := os.OpenFile(streamSegPath(dir, 1), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(eventSegment(dir, 1), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,18 +373,40 @@ func TestStreamCorruptionIsLoud(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Terminated damage mid-log is not a torn tail; replay must refuse.
-	data, err := os.ReadFile(streamSegPath(dir, 1))
+	data, err := os.ReadFile(eventSegment(dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(string(data), "\n")
 	lines[0] = "{broken json}\n"
-	if err := os.WriteFile(streamSegPath(dir, 1), []byte(strings.Join(lines, "")), 0o644); err != nil {
+	if err := os.WriteFile(eventSegment(dir, 1), []byte(strings.Join(lines, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenHub(HubOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("corrupt mid-log replay err = %v, want loud corruption", err)
 	}
+}
+
+// TestOpenHubRejectsSecondWriter: two live hubs on one event dir would both
+// number their events from the same seq and interleave appends — the
+// second open must fail fast instead.
+func TestOpenHubRejectsSecondWriter(t *testing.T) {
+	dir := t.TempDir()
+	h, err := OpenHub(HubOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenHub(HubOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), "locked") {
+		t.Fatalf("second writer on live event dir = %v, want lock error", err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenHub(HubOptions{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen after Close: %v", err)
+	}
+	reopened.Close()
 }
 
 func TestStreamHubCloseWakesSubscribers(t *testing.T) {
