@@ -9,6 +9,7 @@ package hough
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"colormatch/internal/vision/raster"
@@ -55,7 +56,8 @@ func DefaultParams() Params {
 type Scratch struct {
 	acc    []int32
 	smooth []int32
-	rowSum []int32
+	ring   []int32 // horizontal 3-sums of three rows, plus one zero row
+	rowMax []int32 // per-row maximum of smooth
 	cands  []Circle
 	out    []Circle
 }
@@ -71,17 +73,12 @@ func grow(buf []int32, n int) []int32 {
 	return buf
 }
 
-// Circles runs a gradient-voting circle Hough transform over the region of g.
-// Each strong edge pixel votes for centers at distance r along ±gradient for
-// every candidate radius. Local accumulator maxima with sufficient perimeter
-// support are returned, strongest first, after non-maximum suppression.
-func Circles(g *raster.Gray, region Rect, p Params) []Circle {
-	return CirclesScratch(g, region, p, &Scratch{})
-}
-
-// CirclesScratch is Circles with caller-owned scratch buffers. The gradient is
-// computed and consumed in a single fused pass over the region — no full-image
-// Sobel planes are materialized — and all accumulator memory lives in s.
+// CirclesScratch runs a gradient-voting circle Hough transform over the region
+// of g. Each strong edge pixel votes for centers at distance r along
+// ±gradient for every candidate radius. Local accumulator maxima with
+// sufficient perimeter support are returned, strongest first, after
+// non-maximum suppression. The gradient is computed and consumed in a single
+// fused pass over the region, and all accumulator memory lives in s.
 func CirclesScratch(g *raster.Gray, region Rect, p Params, s *Scratch) []Circle {
 	if p.RMin <= 0 || p.RMax < p.RMin {
 		return nil
@@ -128,6 +125,11 @@ func CirclesScratch(g *raster.Gray, region Rect, p Params, s *Scratch) []Circle 
 	if gy1 > g.H-1 {
 		gy1 = g.H - 1
 	}
+	// |gx|+|gy| bounds the true magnitude from above and Hypot is within a
+	// few ulps of the true magnitude, so a pixel whose L1 sum falls short of
+	// the threshold by the 1e-9 margin cannot pass the exact Hypot test: the
+	// pre-filter skips the flat majority of the frame without changing a vote.
+	l1Thresh := p.MagThresh * (1 - 1e-9)
 	gw := g.W
 	for y := gy0; y < gy1; y++ {
 		up := g.Pix[(y-1)*gw : y*gw]
@@ -139,6 +141,9 @@ func CirclesScratch(g *raster.Gray, region Rect, p Params, s *Scratch) []Circle 
 				-dn[x-1] + dn[x+1]
 			gy := -up[x-1] - 2*up[x] - up[x+1] +
 				dn[x-1] + 2*dn[x] + dn[x+1]
+			if math.Abs(gx)+math.Abs(gy) < l1Thresh {
+				continue
+			}
 			m := math.Hypot(gx, gy)
 			if m < p.MagThresh {
 				continue
@@ -166,12 +171,20 @@ func CirclesScratch(g *raster.Gray, region Rect, p Params, s *Scratch) []Circle 
 
 	// Quantization spreads a circle's votes over a small neighborhood of the
 	// true center, so peaks are found on a 3×3 box sum of each radius plane.
-	// The box sum is separable: horizontal clamped 3-sums into rowSum, then a
-	// vertical 3-sum of those — identical integers to the direct 9-point sum.
+	// One fused pass per plane builds it separably: the clamped horizontal
+	// 3-sums of rows y-1..y+1 sit in a ring (a zero row stands in past the
+	// edges), and their vertical sum goes to smooth, identical integers to
+	// the direct 9-point sum. A row whose three horizontal maxima add up to
+	// less than minVotes cannot reach minVotes anywhere, so its vertical sum
+	// is skipped and its rowMax is 0. Either way rowMax[y] < minVotes means
+	// row y holds no candidate, and no cell that could tie or beat one in a
+	// neighboring row, so the smooth cells of such rows are never read.
 	cands := s.cands[:0]
 	s.smooth = grow(s.smooth, w*h)
-	s.rowSum = grow(s.rowSum, w*h)
-	smooth, rowSum := s.smooth, s.rowSum
+	s.ring = grow(s.ring, 4*w)
+	s.rowMax = grow(s.rowMax, h)
+	smooth, ring, rowMax := s.smooth, s.ring, s.rowMax
+	zero := ring[3*w:]
 	for ri := 0; ri < nr; ri++ {
 		r := float64(p.RMin + ri)
 		minVotes := int32(p.MinSupport * 2 * math.Pi * r)
@@ -179,62 +192,44 @@ func CirclesScratch(g *raster.Gray, region Rect, p Params, s *Scratch) []Circle 
 			minVotes = 3
 		}
 		plane := acc[ri*w*h : (ri+1)*w*h]
+		above, cur := zero, ring[:w]
+		hmA, hmC := int32(0), hsum3(cur, plane[:w])
 		for y := 0; y < h; y++ {
-			row := plane[y*w : (y+1)*w]
-			dst := rowSum[y*w : (y+1)*w]
-			for x := range row {
-				sum := row[x]
-				if x > 0 {
-					sum += row[x-1]
-				}
-				if x < w-1 {
-					sum += row[x+1]
-				}
-				dst[x] = sum
+			below, hmB := zero, int32(0)
+			if y+1 < h {
+				below = ring[(y+1)%3*w:][:w]
+				hmB = hsum3(below, plane[(y+1)*w:(y+2)*w])
 			}
+			m := int32(0)
+			if hmA+hmC+hmB >= minVotes {
+				dst, a, b := smooth[y*w:][:len(cur)], above[:len(cur)], below[:len(cur)]
+				for x, v := range cur {
+					v += a[x] + b[x]
+					dst[x] = v
+					m = max(m, v)
+				}
+			}
+			rowMax[y] = m
+			above, cur = cur, below
+			hmA, hmC = hmC, hmB
 		}
+		// Strict local maxima in (y, x) order; ties go to the neighbor
+		// earlier in raster order, so a cell must beat the row above and its
+		// left neighbor outright and at least match the rest. A neighbor row
+		// whose maximum cannot tie or beat v is not read.
 		for y := 0; y < h; y++ {
-			dst := smooth[y*w : (y+1)*w]
-			cur := rowSum[y*w : (y+1)*w]
-			copy(dst, cur)
-			if y > 0 {
-				above := rowSum[(y-1)*w : y*w]
-				for x := range dst {
-					dst[x] += above[x]
-				}
+			if rowMax[y] < minVotes {
+				continue
 			}
-			if y < h-1 {
-				below := rowSum[(y+1)*w : (y+2)*w]
-				for x := range dst {
-					dst[x] += below[x]
-				}
-			}
-		}
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				v := smooth[y*w+x]
+			row := smooth[y*w : (y+1)*w]
+			for x, v := range row {
 				if v < minVotes {
 					continue
 				}
-				// Strict local maximum (ties broken toward top-left).
-				peak := true
-				for dy := -1; dy <= 1 && peak; dy++ {
-					for dx := -1; dx <= 1; dx++ {
-						if dx == 0 && dy == 0 {
-							continue
-						}
-						yy, xx := y+dy, x+dx
-						if yy < 0 || yy >= h || xx < 0 || xx >= w {
-							continue
-						}
-						n := smooth[yy*w+xx]
-						if n > v || (n == v && (dy < 0 || (dy == 0 && dx < 0))) {
-							peak = false
-							break
-						}
-					}
-				}
-				if !peak {
+				x0, x1 := max(x-1, 0), min(x+2, w)
+				if (x > 0 && row[x-1] >= v) || (x+1 < w && row[x+1] > v) ||
+					(y > 0 && rowMax[y-1] >= v && slices.Max(smooth[(y-1)*w+x0:(y-1)*w+x1]) >= v) ||
+					(y+1 < h && rowMax[y+1] > v && slices.Max(smooth[(y+1)*w+x0:(y+1)*w+x1]) > v) {
 					continue
 				}
 				cands = append(cands, Circle{
@@ -268,4 +263,20 @@ func CirclesScratch(g *raster.Gray, region Rect, p Params, s *Scratch) []Circle 
 	}
 	s.out = out
 	return out
+}
+
+// hsum3 writes the horizontal 3-sums of row into dst, with cells beyond either
+// end counting as zero, and returns their maximum.
+func hsum3(dst, row []int32) int32 {
+	dst = dst[:len(row)]
+	prev, cur, m := int32(0), row[0], int32(0)
+	for x := 1; x < len(row); x++ {
+		next := row[x]
+		v := prev + cur + next
+		dst[x-1] = v
+		m = max(m, v)
+		prev, cur = cur, next
+	}
+	dst[len(row)-1] = prev + cur
+	return max(m, prev+cur)
 }

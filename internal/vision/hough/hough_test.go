@@ -20,7 +20,7 @@ func grayWithCircles(bg uint8, circles []Circle, fill []color.RGB8) *raster.Gray
 func TestDetectSingleDarkCircle(t *testing.T) {
 	truth := []Circle{{X: 100, Y: 75, R: 12}}
 	g := grayWithCircles(240, truth, []color.RGB8{{R: 40, G: 40, B: 40}})
-	got := Circles(g, Rect{0, 0, 200, 150}, DefaultParams())
+	got := CirclesScratch(g, Rect{0, 0, 200, 150}, DefaultParams(), &Scratch{})
 	if len(got) == 0 {
 		t.Fatal("no circles found")
 	}
@@ -43,7 +43,7 @@ func TestDetectGridOfCircles(t *testing.T) {
 		}
 	}
 	g := grayWithCircles(245, truth, fills)
-	got := Circles(g, Rect{0, 0, 200, 150}, DefaultParams())
+	got := CirclesScratch(g, Rect{0, 0, 200, 150}, DefaultParams(), &Scratch{})
 	if len(got) != len(truth) {
 		t.Fatalf("found %d circles, want %d", len(got), len(truth))
 	}
@@ -66,7 +66,7 @@ func TestLowContrastCircleMissed(t *testing.T) {
 	// parameters — this is the false-negative behavior the paper describes.
 	truth := []Circle{{X: 100, Y: 75, R: 12}}
 	g := grayWithCircles(240, truth, []color.RGB8{{R: 232, G: 232, B: 232}})
-	got := Circles(g, Rect{0, 0, 200, 150}, DefaultParams())
+	got := CirclesScratch(g, Rect{0, 0, 200, 150}, DefaultParams(), &Scratch{})
 	if len(got) != 0 {
 		t.Fatalf("low-contrast circle detected: %+v", got)
 	}
@@ -76,7 +76,7 @@ func TestRegionRestricts(t *testing.T) {
 	truth := []Circle{{X: 50, Y: 75, R: 12}, {X: 150, Y: 75, R: 12}}
 	fills := []color.RGB8{{R: 30, G: 30, B: 30}, {R: 30, G: 30, B: 30}}
 	g := grayWithCircles(245, truth, fills)
-	got := Circles(g, Rect{100, 0, 200, 150}, DefaultParams())
+	got := CirclesScratch(g, Rect{100, 0, 200, 150}, DefaultParams(), &Scratch{})
 	for _, c := range got {
 		if c.X < 100 {
 			t.Fatalf("circle outside region: %+v", c)
@@ -90,7 +90,7 @@ func TestRegionRestricts(t *testing.T) {
 func TestNonMaxSuppression(t *testing.T) {
 	truth := []Circle{{X: 100, Y: 75, R: 12}}
 	g := grayWithCircles(240, truth, []color.RGB8{{R: 20, G: 20, B: 20}})
-	got := Circles(g, Rect{0, 0, 200, 150}, DefaultParams())
+	got := CirclesScratch(g, Rect{0, 0, 200, 150}, DefaultParams(), &Scratch{})
 	// A strong circle votes at many nearby radii; NMS must keep one.
 	if len(got) != 1 {
 		t.Fatalf("NMS kept %d circles for one disk", len(got))
@@ -106,7 +106,7 @@ func TestNoiseDoesNotHallucinate(t *testing.T) {
 			img.Pix[i+c] = uint8(math.Max(0, math.Min(255, v)))
 		}
 	}
-	got := Circles(raster.FromRGBA(img), Rect{0, 0, 200, 150}, DefaultParams())
+	got := CirclesScratch(raster.FromRGBA(img), Rect{0, 0, 200, 150}, DefaultParams(), &Scratch{})
 	if len(got) != 0 {
 		t.Fatalf("hallucinated %d circles in noise", len(got))
 	}
@@ -114,13 +114,13 @@ func TestNoiseDoesNotHallucinate(t *testing.T) {
 
 func TestDegenerateParams(t *testing.T) {
 	g := raster.NewGray(50, 50)
-	if got := Circles(g, Rect{0, 0, 50, 50}, Params{RMin: 0, RMax: 5}); got != nil {
+	if got := CirclesScratch(g, Rect{0, 0, 50, 50}, Params{RMin: 0, RMax: 5}, &Scratch{}); got != nil {
 		t.Fatal("RMin=0 should return nil")
 	}
-	if got := Circles(g, Rect{0, 0, 50, 50}, Params{RMin: 10, RMax: 5}); got != nil {
+	if got := CirclesScratch(g, Rect{0, 0, 50, 50}, Params{RMin: 10, RMax: 5}, &Scratch{}); got != nil {
 		t.Fatal("RMax<RMin should return nil")
 	}
-	if got := Circles(g, Rect{40, 40, 10, 10}, DefaultParams()); got != nil {
+	if got := CirclesScratch(g, Rect{40, 40, 10, 10}, DefaultParams(), &Scratch{}); got != nil {
 		t.Fatal("empty region should return nil")
 	}
 }
@@ -128,7 +128,7 @@ func TestDegenerateParams(t *testing.T) {
 func TestRegionClampsToImage(t *testing.T) {
 	truth := []Circle{{X: 100, Y: 75, R: 12}}
 	g := grayWithCircles(240, truth, []color.RGB8{{R: 40, G: 40, B: 40}})
-	got := Circles(g, Rect{-50, -50, 10000, 10000}, DefaultParams())
+	got := CirclesScratch(g, Rect{-50, -50, 10000, 10000}, DefaultParams(), &Scratch{})
 	if len(got) != 1 {
 		t.Fatalf("oversized region: %d circles", len(got))
 	}
@@ -144,11 +144,14 @@ func TestRectContains(t *testing.T) {
 // TestScratchReuseMatchesFresh drives CirclesScratch with one reused Scratch
 // through a randomized sequence of scenes, regions, and parameter sets, and
 // checks every result against a fresh-scratch run of the same input. Any
-// stale accumulator, candidate, or output state leaking between calls would
-// show up as a mismatch.
+// stale accumulator, smoothing-ring, row-maximum, candidate, or output state
+// leaking between calls would show up as a mismatch. Regions alternate between
+// wide and narrow so consecutive calls both grow and shrink every buffer.
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	rng := sim.NewRNG(99)
 	reused := &Scratch{}
+	var prev Rect
+	var grew, shrank [2]int // width, height
 	for iter := 0; iter < 25; iter++ {
 		var truth []Circle
 		var fills []color.RGB8
@@ -164,6 +167,19 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		}
 		g := grayWithCircles(240, truth, fills)
 		region := Rect{rng.Intn(30), rng.Intn(30), 120 + rng.Intn(100), 90 + rng.Intn(80)}
+		if iter%2 == 1 {
+			region = Rect{40 + rng.Intn(40), 30 + rng.Intn(30), 110 + rng.Intn(40), 80 + rng.Intn(30)}
+		}
+		if iter > 0 {
+			for i, d := range [2]int{regionW(region) - regionW(prev), regionH(region) - regionH(prev)} {
+				if d > 0 {
+					grew[i]++
+				} else if d < 0 {
+					shrank[i]++
+				}
+			}
+		}
+		prev = region
 		p := DefaultParams()
 		p.RMin += rng.Intn(2)
 		p.RMax += rng.Intn(3) - 1
@@ -178,4 +194,12 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+	if min(grew[0], grew[1], shrank[0], shrank[1]) == 0 {
+		t.Fatalf("regions did not both grow and shrink in width and height: grew %v shrank %v", grew, shrank)
+	}
 }
+
+// regionW and regionH are a region's extent once clamped to the 200×150
+// test frame.
+func regionW(r Rect) int { return min(r.X1, 200) - max(r.X0, 0) }
+func regionH(r Rect) int { return min(r.Y1, 150) - max(r.Y0, 0) }

@@ -180,20 +180,19 @@ func (s *Scene) Render(dict *aruco.Dictionary, rng *sim.RNG) *image.RGBA {
 	// Fiducial marker.
 	dict.Render(img, s.MarkerID, int(g.MarkerX+jx), int(g.MarkerY+jy), int(g.MarkerCellPx))
 
-	var noiseRow []float64
-	if rng != nil && s.NoiseStd > 0 {
-		noiseRow = make([]float64, g.ImgW*3)
-	}
-	s.applyIlluminationAndNoise(img, rng, noiseRow)
+	s.applyIlluminationAndNoise(img, rng)
 	return img
 }
 
 // applyIlluminationAndNoise multiplies in the vignette and adds pixel noise.
 // Noise deviates are drawn one row at a time via NormFloat64Fill — same
-// stream, same order as per-subpixel draws, but ~w·3 fewer lock round trips
-// per row — and the clamp is an inline comparison chain rather than
-// math.Max/math.Min calls. Output is bit-identical to the scalar loop.
-func (s *Scene) applyIlluminationAndNoise(img *image.RGBA, rng *sim.RNG, noiseRow []float64) {
+// stream, same order as per-subpixel draws, but one lock round trip per row.
+// dx² comes from a per-column table and dy² is computed once per row; both are
+// exact (integer or half-integer offsets). The vignette divides by rmax2: a
+// multiply by its reciprocal rounds differently and would change pixels,
+// which TestRenderGolden pins. The inner loop works on 3-subpixel windows of
+// the pixel and noise rows, so the per-channel accesses need no bounds checks.
+func (s *Scene) applyIlluminationAndNoise(img *image.RGBA, rng *sim.RNG) {
 	noise := rng != nil && s.NoiseStd > 0
 	if s.IllumFalloff == 0 && !noise {
 		return
@@ -201,31 +200,47 @@ func (s *Scene) applyIlluminationAndNoise(img *image.RGBA, rng *sim.RNG, noiseRo
 	w, h := s.Geom.ImgW, s.Geom.ImgH
 	cx, cy := float64(w)/2, float64(h)/2
 	rmax2 := cx*cx + cy*cy
+	// Without noise the row stays zero and std is zero, so each sample gains
+	// exactly +0 and rounds as if nothing were added.
+	falloff, std, noiseRow := s.IllumFalloff, 0.0, make([]float64, 3*w)
+	if noise {
+		std = s.NoiseStd
+	}
+	dx2 := make([]float64, w)
+	for x := range dx2 {
+		dx := float64(x) - cx
+		dx2[x] = dx * dx
+	}
 	for y := 0; y < h; y++ {
 		if noise {
 			rng.NormFloat64Fill(noiseRow)
 		}
-		i := img.PixOffset(0, y)
-		for x := 0; x < w; x++ {
+		dy := float64(y) - cy
+		dy2 := dy * dy
+		pix := img.Pix[img.PixOffset(0, y):]
+		for x, d2 := range dx2 {
 			factor := 1.0
-			if s.IllumFalloff > 0 {
-				dx, dy := float64(x)-cx, float64(y)-cy
-				factor = 1 - s.IllumFalloff*(dx*dx+dy*dy)/rmax2
+			if falloff > 0 {
+				factor = 1 - falloff*(d2+dy2)/rmax2
 			}
-			for c := 0; c < 3; c++ {
-				v := float64(img.Pix[i+c]) * factor
-				if noise {
-					v += s.NoiseStd * noiseRow[x*3+c]
-				}
-				v += 0.5
-				if v > 255 {
-					v = 255
-				} else if !(v > 0) { // also catches NaN, as math.Max did
-					v = 0
-				}
-				img.Pix[i+c] = uint8(v)
-			}
-			i += 4
+			p, n := pix[4*x:4*x+3:4*x+3], noiseRow[3*x:3*x+3:3*x+3]
+			p[0] = shade(p[0], factor, std*n[0])
+			p[1] = shade(p[1], factor, std*n[1])
+			p[2] = shade(p[2], factor, std*n[2])
 		}
 	}
+}
+
+// shade scales an 8-bit sample by factor, adds noise, and rounds it back
+// with an inline clamp rather than math.Max/math.Min calls.
+func shade(p uint8, factor, noise float64) uint8 {
+	v := float64(p) * factor
+	v += noise
+	v += 0.5
+	if v > 255 {
+		return 255
+	} else if !(v > 0) { // also catches NaN, as math.Max did
+		return 0
+	}
+	return uint8(v)
 }

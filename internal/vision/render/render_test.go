@@ -1,6 +1,8 @@
 package render
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -136,6 +138,38 @@ func TestRenderNoiseIsSeedDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("render nondeterministic for same seed")
+		}
+	}
+}
+
+// TestRenderGolden pins the rendered pixels, byte for byte, for a noisy
+// vignetted scene, the same scene noise-free, and the scene with noise but no
+// vignette. Any change to the illumination/noise kernel that alters rounding
+// or the order of noise draws changes these digests.
+func TestRenderGolden(t *testing.T) {
+	scene := func(falloff float64) *Scene {
+		s := NewScene()
+		s.IllumFalloff = falloff
+		s.JitterX, s.JitterY = 3.25, -2.5
+		for i := 0; i < labware.PlateWells; i += 2 {
+			s.Filled[i] = true
+			s.WellColor[i] = color.RGB8{R: uint8(i * 7), G: uint8(255 - i*2), B: uint8(40 + i)}
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name string
+		s    *Scene
+		rng  *sim.RNG
+		want string
+	}{
+		{"seed42-noise-vignette", scene(0.06), sim.NewRNG(42), "8c3123969c29a366abaa9ad268976e78f383d7bb8317135e287376efd0c54d8e"},
+		{"noise-free", scene(0.06), nil, "35505f4225c35d170a650ae3f2e575e16186c41ca2b560999678c40d9fe73224"},
+		{"seed42-no-vignette", scene(0), sim.NewRNG(42), "2400b833762917410c219fc59b562ee3582701dc3264ed0e75163be5daee2a1e"},
+	} {
+		sum := sha256.Sum256(tc.s.Render(aruco.Default(), tc.rng).Pix)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: pixel digest %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

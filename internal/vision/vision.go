@@ -95,13 +95,14 @@ func (a *Analyzer) Analyze(img *image.RGBA) (*Result, error) {
 	return res, nil
 }
 
-// pngEncoder trades compression ratio for speed. Camera frames are transient
-// transport: they make one hop from the camera module to the analyzer and are
-// never persisted (the event log records metadata only), so spending ~45ms of
-// deflate per frame to shrink ~920KB to ~500KB is pure loss in a simulation
-// whose frames dominate the wall-clock profile. Stored (uncompressed) deflate
-// blocks keep the format lossless PNG and cut encode cost ~24×. The shared
-// BufferPool amortizes the encoder's internal scratch across frames.
+// pngEncoder trades compression ratio for speed. Frames travel from the camera
+// module to the analyzer, and the portal stores each iteration's frame as
+// plate.png, so persisted frames are these stored-deflate (uncompressed) PNGs
+// at ~920KB rather than ~500KB deflated. Spending ~45ms of deflate per frame
+// for that saving is a poor trade in a simulation whose frames dominate the
+// wall-clock profile. Stored deflate blocks keep the format lossless PNG and
+// cut encode cost ~24×. The shared BufferPool amortizes the encoder's internal
+// scratch across frames.
 var pngEncoder = png.Encoder{
 	CompressionLevel: png.NoCompression,
 	BufferPool:       &pngPool{},
@@ -119,7 +120,13 @@ func (p *pngPool) Put(b *png.EncoderBuffer) { p.pool.Put(b) }
 // EncodePNG serializes an image for transport from the camera module to the
 // application, as the physical camera would deliver a compressed frame.
 func EncodePNG(img *image.RGBA) ([]byte, error) {
+	// Size the buffer once: stored blocks hold at most a filter byte plus
+	// four samples per pixel per row, and the slack covers chunk, block and
+	// header framing.
+	b := img.Bounds()
+	n := b.Dy() * (1 + 4*b.Dx())
 	var buf bytes.Buffer
+	buf.Grow(n + n/256 + 1024)
 	if err := pngEncoder.Encode(&buf, img); err != nil {
 		return nil, err
 	}
@@ -133,23 +140,20 @@ func DecodePNG(data []byte) (*image.RGBA, error) {
 		return nil, err
 	}
 	b := src.Bounds()
+	// png.Decode hands back *image.RGBA for opaque truecolor frames, which is
+	// the result as it stands when it starts at the origin (it always does),
+	// and *image.NRGBA otherwise. NRGBA stores 8-bit RGBA samples row-major
+	// too, so its rows are copied directly instead of going through the At/Set
+	// color conversion machinery (two interface calls and a color model round
+	// trip per pixel). Opaque NRGBA is byte-identical to RGBA; the generic path
+	// remains for any other source.
+	if rgba, ok := src.(*image.RGBA); ok && b.Min == (image.Point{}) {
+		return rgba, nil
+	}
 	out := image.NewRGBA(image.Rect(0, 0, b.Dx(), b.Dy()))
-	// png.Decode hands back *image.RGBA for opaque truecolor frames and
-	// *image.NRGBA otherwise; both store 8-bit RGBA samples row-major, so the
-	// rows can be copied directly instead of going through the At/Set color
-	// conversion machinery (which costs two interface calls and a color model
-	// round trip per pixel). Opaque NRGBA is byte-identical to RGBA; the
-	// generic path remains for any other source type.
-	switch src := src.(type) {
-	case *image.RGBA:
-		copyRows(out, src.Pix[src.PixOffset(b.Min.X, b.Min.Y):], src.Stride, b)
-	case *image.NRGBA:
-		if src.Opaque() {
-			copyRows(out, src.Pix[src.PixOffset(b.Min.X, b.Min.Y):], src.Stride, b)
-		} else {
-			slowConvert(out, src, b)
-		}
-	default:
+	if n, ok := src.(*image.NRGBA); ok && n.Opaque() {
+		copyRows(out, n.Pix[n.PixOffset(b.Min.X, b.Min.Y):], n.Stride, b)
+	} else {
 		slowConvert(out, src, b)
 	}
 	return out, nil

@@ -217,8 +217,10 @@ func TestAnalyzerDeterministicOnSameImage(t *testing.T) {
 
 // TestDecodeFastPathMatchesSlowPath decodes representative PNG payloads —
 // opaque truecolor (decodes to *image.RGBA), NRGBA with partial alpha, and a
-// paletted image (neither fast path applies) — and checks the direct Pix-copy
-// fast paths produce byte-identical output to the generic At/Set conversion.
+// paletted image (neither fast path applies) — and checks the fast paths
+// (returning the decoder's own RGBA frame, copying Pix rows) produce
+// byte-identical pixels, stride and length included, to the generic At/Set
+// conversion.
 func TestDecodeFastPathMatchesSlowPath(t *testing.T) {
 	rng := sim.NewRNG(8)
 	scene, _ := buildScene(t, strongFractions(32), 0, 0, rng)
@@ -264,6 +266,10 @@ func TestDecodeFastPathMatchesSlowPath(t *testing.T) {
 		slowConvert(want, src, b)
 		if got.Bounds() != want.Bounds() {
 			t.Fatalf("%s: bounds %v vs %v", name, got.Bounds(), want.Bounds())
+		}
+		if got.Stride != want.Stride || len(got.Pix) != len(want.Pix) {
+			t.Fatalf("%s: stride %d, %d bytes; slow path %d, %d bytes",
+				name, got.Stride, len(got.Pix), want.Stride, len(want.Pix))
 		}
 		for i := range want.Pix {
 			if got.Pix[i] != want.Pix[i] {
