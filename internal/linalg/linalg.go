@@ -164,13 +164,8 @@ func growVec(dst []float64, n int) []float64 {
 	return dst[:n]
 }
 
-// SolveLower solves L·x = b for lower-triangular L by forward substitution.
-func SolveLower(l *Matrix, b []float64) []float64 {
-	return SolveLowerInto(nil, l, b)
-}
-
-// SolveLowerInto is SolveLower writing into dst (grown as needed). dst must
-// not alias b.
+// SolveLowerInto solves L·x = b for lower-triangular L by forward
+// substitution, writing x into dst (grown as needed). dst must not alias b.
 func SolveLowerInto(dst []float64, l *Matrix, b []float64) []float64 {
 	n := l.Rows
 	x := growVec(dst, n)
@@ -184,13 +179,9 @@ func SolveLowerInto(dst []float64, l *Matrix, b []float64) []float64 {
 	return x
 }
 
-// SolveUpper solves Lᵀ·x = b (L lower-triangular) by back substitution.
-func SolveUpper(l *Matrix, b []float64) []float64 {
-	return SolveUpperInto(nil, l, b)
-}
-
-// SolveUpperInto is SolveUpper writing into dst (grown as needed). dst may
-// alias b: element i is read before it is overwritten and never read again.
+// SolveUpperInto solves Lᵀ·x = b (L lower-triangular) by back substitution,
+// writing x into dst (grown as needed). dst may alias b: element i is read
+// before it is overwritten and never read again.
 func SolveUpperInto(dst []float64, l *Matrix, b []float64) []float64 {
 	n := l.Rows
 	x := growVec(dst, n)

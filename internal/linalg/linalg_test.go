@@ -134,14 +134,14 @@ func TestCholeskyReconstructionProperty(t *testing.T) {
 func TestTriangularSolves(t *testing.T) {
 	l := FromRows([][]float64{{2, 0}, {1, 3}})
 	// L·x = b with b = (4, 11) ⇒ x = (2, 3).
-	x := SolveLower(l, []float64{4, 11})
+	x := SolveLowerInto(nil, l, []float64{4, 11})
 	if !almostEq(x[0], 2, 1e-12) || !almostEq(x[1], 3, 1e-12) {
-		t.Fatalf("SolveLower = %v", x)
+		t.Fatalf("SolveLowerInto = %v", x)
 	}
 	// Lᵀ·y = b with b = (7, 9) ⇒ y solves [[2,1],[0,3]]·y = (7,9) → y = (2, 3).
-	y := SolveUpper(l, []float64{7, 9})
+	y := SolveUpperInto(nil, l, []float64{7, 9})
 	if !almostEq(y[0], 2, 1e-12) || !almostEq(y[1], 3, 1e-12) {
-		t.Fatalf("SolveUpper = %v", y)
+		t.Fatalf("SolveUpperInto = %v", y)
 	}
 }
 

@@ -76,3 +76,15 @@ func BenchmarkSimClockAdvance(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// BenchmarkNormFloat64Fill draws one render row's noise: 640 pixels × 3
+// subpixels of standard normal deviates.
+func BenchmarkNormFloat64Fill(b *testing.B) {
+	g := NewRNG(1)
+	row := make([]float64, 1920)
+	b.ReportAllocs()
+	b.SetBytes(int64(8 * len(row)))
+	for b.Loop() {
+		g.NormFloat64Fill(row)
+	}
+}

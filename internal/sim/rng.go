@@ -9,14 +9,22 @@ import (
 // component in the repository (solvers, sensor noise, fault injection,
 // device jitter) draws from an RNG derived from the experiment seed, so that
 // a whole experiment is reproducible bit-for-bit from a single integer.
+//
+// The stream is exactly math/rand's: NewRNG(seed) returns, call for call, the
+// values rand.New(rand.NewSource(seed)) would. Its source is a block-buffered
+// copy of math/rand's generator, so the normal sampler can read a block of
+// draws directly; the other methods go through a *rand.Rand over the same
+// source and so stay in step with it.
 type RNG struct {
-	mu sync.Mutex
-	r  *rand.Rand
+	mu  sync.Mutex
+	src *lagSource
+	r   *rand.Rand // over src
 }
 
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	src := newLagSource(seed)
+	return &RNG{src: src, r: rand.New(src)}
 }
 
 // Derive returns a new independent stream deterministically derived from this
@@ -56,9 +64,9 @@ func (g *RNG) Int63() int64 {
 
 // NormFloat64 returns a standard normal deviate.
 func (g *RNG) NormFloat64() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.r.NormFloat64()
+	var v [1]float64
+	g.NormFloat64Fill(v[:])
+	return v[0]
 }
 
 // Normal returns a normal deviate with the given mean and standard deviation.
@@ -67,14 +75,13 @@ func (g *RNG) Normal(mean, stddev float64) float64 {
 }
 
 // NormFloat64Fill fills dst with standard normal deviates, taking the stream
-// lock once for the whole batch instead of once per draw. The values are
-// exactly the ones len(dst) consecutive NormFloat64 calls would return, so
-// batching a hot loop's draws does not perturb the stream.
+// lock once for the whole batch and running the ziggurat fast path over the
+// source's buffered block. The values are exactly the ones len(dst)
+// consecutive NormFloat64 calls would return, so batching a hot loop's draws
+// does not perturb the stream.
 func (g *RNG) NormFloat64Fill(dst []float64) {
 	g.mu.Lock()
-	for i := range dst {
-		dst[i] = g.r.NormFloat64()
-	}
+	g.src.normFill(dst)
 	g.mu.Unlock()
 }
 

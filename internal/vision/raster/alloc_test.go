@@ -31,7 +31,7 @@ func TestComponentsScratchIsAllocFree(t *testing.T) {
 	FillRect(img, 20, 20, 60, 60, color.RGB8{R: 10, G: 10, B: 10})
 	FillRect(img, 80, 30, 130, 90, color.RGB8{R: 10, G: 10, B: 10})
 	g := FromRGBA(img)
-	mask := Threshold(g, 128)
+	mask := ThresholdInto(nil, g, 128)
 	var s ComponentScratch
 	ComponentsScratch(mask, g.W, 8, &s) // warm the scratch
 	if n := testing.AllocsPerRun(50, func() { ComponentsScratch(mask, g.W, 8, &s) }); n != 0 {

@@ -43,7 +43,7 @@ func BenchmarkFillCircle(b *testing.B) {
 
 func BenchmarkComponentsScratch(b *testing.B) {
 	g := benchFrame()
-	mask := Threshold(g, Otsu(g))
+	mask := ThresholdInto(nil, g, Otsu(g))
 	var s ComponentScratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

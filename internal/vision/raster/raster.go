@@ -117,15 +117,10 @@ func Otsu(g *Gray) float64 {
 	return bestT
 }
 
-// Threshold returns a binary mask: true where intensity <= t (dark pixels).
-// The inclusive comparison pairs with Otsu, which returns the upper edge of
-// the dark class.
-func Threshold(g *Gray, t float64) []bool {
-	return ThresholdInto(nil, g, t)
-}
-
-// ThresholdInto writes the binary mask into dst, growing it only when its
-// capacity is insufficient, and returns the (possibly reallocated) mask.
+// ThresholdInto returns a binary mask of g: true where intensity <= t (dark
+// pixels). The inclusive comparison pairs with Otsu, which returns the upper
+// edge of the dark class. The mask is written into dst, grown only when its
+// capacity is insufficient, and returned (possibly reallocated).
 func ThresholdInto(dst []bool, g *Gray, t float64) []bool {
 	if cap(dst) < len(g.Pix) {
 		dst = make([]bool, len(g.Pix))
@@ -150,23 +145,19 @@ func (c Component) W() int { return c.MaxX - c.MinX + 1 }
 // H returns the bounding-box height.
 func (c Component) H() int { return c.MaxY - c.MinY + 1 }
 
-// ComponentScratch holds the labeling buffers Components needs, so repeated
-// calls on same-sized masks (one per analyzed photo) stop allocating.
+// ComponentScratch holds the labeling buffers ComponentsScratch needs, so
+// repeated calls on same-sized masks (one per analyzed photo) stop
+// allocating.
 type ComponentScratch struct {
 	labels []int32
 	stack  []int
 	out    []Component
 }
 
-// Components labels 4-connected regions of true pixels in mask (width w).
-// Regions smaller than minCount pixels are dropped.
-func Components(mask []bool, w int, minCount int) []Component {
-	return ComponentsScratch(mask, w, minCount, &ComponentScratch{})
-}
-
-// ComponentsScratch is Components with caller-owned scratch buffers. The
-// returned slice is backed by the scratch and only valid until the next call
-// with the same scratch.
+// ComponentsScratch labels 4-connected regions of true pixels in mask (width
+// w). Regions smaller than minCount pixels are dropped. The returned slice is
+// backed by the caller-owned scratch and only valid until the next call with
+// the same scratch.
 func ComponentsScratch(mask []bool, w int, minCount int, s *ComponentScratch) []Component {
 	h := len(mask) / w
 	if cap(s.labels) < len(mask) {

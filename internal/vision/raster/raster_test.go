@@ -45,7 +45,7 @@ func TestOtsuSeparatesBimodal(t *testing.T) {
 	if th < 30 || th >= 220 {
 		t.Fatalf("Otsu threshold %v not between modes", th)
 	}
-	mask := Threshold(g, th)
+	mask := ThresholdInto(nil, g, th)
 	dark := 0
 	for _, m := range mask {
 		if m {
@@ -78,7 +78,7 @@ func TestComponentsFindsSeparateBlobs(t *testing.T) {
 		}
 	}
 	set(18, 1) // noise
-	comps := Components(mask, w, 2)
+	comps := ComponentsScratch(mask, w, 2, &ComponentScratch{})
 	if len(comps) != 2 {
 		t.Fatalf("found %d components, want 2 (noise filtered)", len(comps))
 	}
@@ -93,7 +93,7 @@ func TestComponentsDiagonalNotConnected(t *testing.T) {
 	mask := make([]bool, w*4)
 	mask[0] = true   // (0,0)
 	mask[w+1] = true // (1,1) diagonal neighbor
-	comps := Components(mask, w, 1)
+	comps := ComponentsScratch(mask, w, 1, &ComponentScratch{})
 	if len(comps) != 2 {
 		t.Fatalf("diagonal pixels merged: %d components", len(comps))
 	}
@@ -105,7 +105,7 @@ func TestComponentsLargeBlobNoStackOverflow(t *testing.T) {
 	for i := range mask {
 		mask[i] = true
 	}
-	comps := Components(mask, w, 1)
+	comps := ComponentsScratch(mask, w, 1, &ComponentScratch{})
 	if len(comps) != 1 || comps[0].Count != w*h {
 		t.Fatalf("full-frame component wrong: %+v", comps)
 	}

@@ -186,7 +186,9 @@ func (s *Scene) Render(dict *aruco.Dictionary, rng *sim.RNG) *image.RGBA {
 
 // applyIlluminationAndNoise multiplies in the vignette and adds pixel noise.
 // Noise deviates are drawn one row at a time via NormFloat64Fill — same
-// stream, same order as per-subpixel draws, but one lock round trip per row.
+// stream, same order as per-subpixel draws, but one lock round trip per row,
+// and the ziggurat fast path runs over the RNG's buffered block of source
+// values instead of one math/rand call chain per deviate.
 // dx² comes from a per-column table and dy² is computed once per row; both are
 // exact (integer or half-integer offsets). The vignette divides by rmax2: a
 // multiply by its reciprocal rounds differently and would change pixels,
